@@ -67,7 +67,6 @@ from .trees import (
     legal_moves,
     move_branch,
     parse_tree,
-    spanning_tree,
     star,
     tree_from_dict,
     tree_to_dict,

@@ -8,7 +8,6 @@ deterministic; randomized suites take --seed.
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import re
 import sys
@@ -41,6 +40,7 @@ from .enumeration import delta_census, enumerate_trees
 from .verify import (
     DEFAULT_SEED,
     check_total_order,
+    covering_relations,
     hasse_diagram,
     standard_graph_suite,
     verify_chain_minimality,
@@ -53,13 +53,6 @@ EXIT_INPUT = 2
 EXIT_INCOMPARABLE = 3
 EXIT_NOT_MAJORIZED = 4
 EXIT_VERIFY_FAILED = 5
-
-
-class OutputMode(enum.Enum):
-    TEXT = "text"
-    STRUCTURED = "structured"
-    DOT = "dot"
-    CSV = "csv"
 
 
 def _read_sequence(text: str) -> DeltaSequence:
@@ -84,7 +77,7 @@ def _cmd_compare(args) -> int:
     y = _read_sequence(args.y)
     result = compare(x, y)
     px, py = prefix_sums(x), prefix_sums(y)
-    if args.format == OutputMode.STRUCTURED.value:
+    if args.format == "structured":
         _emit_json(
             {
                 "x": list(x.values),
@@ -108,9 +101,9 @@ def _cmd_compare(args) -> int:
 def _cmd_lorenz(args) -> int:
     s = _read_sequence(args.seq)
     curve = lorenz_curve(s, normalized=args.normalized)
-    mode = OutputMode.CSV.value if args.csv else args.format
+    mode = "csv" if args.csv else args.format
     rows = [(k, str(x), str(y)) for k, (x, y) in enumerate(curve.points)]
-    if mode == OutputMode.STRUCTURED.value:
+    if mode == "structured":
         _emit_json(
             {
                 "sequence": list(s.values),
@@ -118,7 +111,7 @@ def _cmd_lorenz(args) -> int:
                 "points": [[x, y] for _, x, y in rows],
             }
         )
-    elif mode == OutputMode.CSV.value:
+    elif mode == "csv":
         print("k,x,y")
         for k, x, y in rows:
             print(f"{k},{x},{y}")
@@ -136,7 +129,7 @@ def _cmd_plan(args) -> int:
     except NotMajorized as exc:
         print(f"not majorized: {exc}", file=sys.stderr)
         return EXIT_NOT_MAJORIZED
-    if args.format == OutputMode.STRUCTURED.value:
+    if args.format == "structured":
         _emit_json(plan_to_dict(plan))
     else:
         text = format_plan(plan)
@@ -149,20 +142,20 @@ def _cmd_plan(args) -> int:
 
 def _cmd_realize(args) -> int:
     seq = _read_sequence(args.seq)
-    mode = OutputMode.DOT.value if args.dot else args.format
+    mode = "dot" if args.dot else args.format
     if args.method == "chain":
         trace = realize_from_chain(seq)
-        if mode == OutputMode.STRUCTURED.value:
+        if mode == "structured":
             _emit_json({"method": "chain", "trace": trace_to_dict(trace)})
-        elif mode == OutputMode.DOT.value:
+        elif mode == "dot":
             print(tree_to_dot(trace.final))
         else:
             print(format_trace(trace))
     else:
         tree = realize_direct(seq)
-        if mode == OutputMode.STRUCTURED.value:
+        if mode == "structured":
             _emit_json({"method": "direct", "tree": tree_to_dict(tree)})
-        elif mode == OutputMode.DOT.value:
+        elif mode == "dot":
             print(tree_to_dot(tree))
         else:
             print(format_tree(tree))
@@ -172,14 +165,14 @@ def _cmd_realize(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.delta_only:
         census = delta_census(args.n)
-        if args.format == OutputMode.STRUCTURED.value:
+        if args.format == "structured":
             _emit_json({"n": args.n, "census": [list(s.values) for s in census]})
         else:
             for s in census:
                 print(s)
         return EXIT_OK
     classes = enumerate_trees(args.n)
-    if args.format == OutputMode.STRUCTURED.value:
+    if args.format == "structured":
         _emit_json({"n": args.n, "classes": [tree_to_dict(t) for t in classes]})
     else:
         print("\n\n".join(format_tree(t) for t in classes))
@@ -242,7 +235,7 @@ def _cmd_verify(args) -> int:
             }
         )
 
-    if args.format == OutputMode.STRUCTURED.value:
+    if args.format == "structured":
         _emit_json({"n": args.n, "checks": checks})
     else:
         for chk in checks:
@@ -260,9 +253,9 @@ def _cmd_move(args) -> int:
         args.target,
         enforce_degree_rule=args.enforce_degree_rule,
     )
-    if args.format == OutputMode.STRUCTURED.value:
+    if args.format == "structured":
         _emit_json(tree_to_dict(moved))
-    elif args.format == OutputMode.DOT.value:
+    elif args.format == "dot":
         print(tree_to_dot(moved))
     else:
         print(format_tree(moved))
@@ -270,9 +263,7 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    if args.format == OutputMode.STRUCTURED.value:
-        from .verify import covering_relations
-
+    if args.format == "structured":
         _emit_json(
             {
                 "n": args.n,

@@ -19,10 +19,10 @@ from .sequences import DeltaSequence
 from .trees import (
     Tree,
     _free_code_adj,
-    _rooted_code_adj,
     canonical_code,
     centroids,
     delta_sequence,
+    rooted_code,
 )
 
 __all__ = [
@@ -96,8 +96,8 @@ def enumerate_trees(n: int) -> list[Tree]:
             continue
         if len(cents) == 2:
             other = cents[1] if cents[0] == 0 else cents[0]
-            half_root = _rooted_code_adj(t._adj, 0, other)
-            half_other = _rooted_code_adj(t._adj, other, 0)
+            half_root = rooted_code(t, 0, other)
+            half_other = rooted_code(t, other, 0)
             # the two rootings of a bicentroidal tree both occur; keep one
             if half_root < half_other:
                 continue

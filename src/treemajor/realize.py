@@ -51,13 +51,11 @@ class MoveTrace:
         return len(self.moves)
 
 
-def apply_moves(
-    t: Tree, moves, enforce_degree_rule: bool = True
-) -> Tree:
-    """Apply (donor, gateway, target) triples in order and return the result."""
+def apply_moves(t: Tree, moves) -> Tree:
+    """Apply (donor, gateway, target) triples in order under the degree rule."""
     cur = t
     for donor, gateway, target in moves:
-        cur = move_branch(cur, donor, gateway, target, enforce_degree_rule)
+        cur = move_branch(cur, donor, gateway, target)
     return cur
 
 
@@ -194,8 +192,11 @@ def trace_to_dict(trace: MoveTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> MoveTrace:
+    moves = tuple((d, g, r) for d, g, r in data["moves"])
+    if any(type(label) is not int for mv in moves for label in mv):
+        raise TypeError(f"move labels must be ints, got {moves!r}")
     return MoveTrace(
         initial=tree_from_dict(data["initial"]),
-        moves=tuple((int(d), int(g), int(r)) for d, g, r in data["moves"]),
+        moves=moves,
         final=tree_from_dict(data["final"]),
     )

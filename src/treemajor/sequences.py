@@ -35,9 +35,10 @@ class DeltaSequence:
     """A non-increasing sequence of positive integer node degrees.
 
     Construction re-sorts the input (descending order is a normalization,
-    never a caller burden) and rejects values below 1.  Instances are
-    immutable and hashable; indexing is 0-based like any Python sequence,
-    while transfer operations speak in 1-based ranks.
+    never a caller burden), rejects non-int values (TypeError, never
+    coerced) and values below 1.  Instances are immutable and hashable;
+    indexing is 0-based like any Python sequence, while transfer operations
+    speak in 1-based ranks.
     """
 
     __slots__ = ("values",)
@@ -45,9 +46,12 @@ class DeltaSequence:
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(sorted((int(v) for v in values), reverse=True))
+        vals = tuple(sorted(values, reverse=True))
         if not vals:
             raise ValueError("a degree sequence needs at least one value")
+        for v in vals:
+            if type(v) is not int:
+                raise TypeError(f"degrees must be ints, got {v!r} in {vals}")
         if vals[-1] <= 0:
             raise NonPositiveDegree(
                 f"degrees must be >= 1, got {vals[-1]} in {vals}"
@@ -117,18 +121,6 @@ class LorenzCurve:
 
     points: tuple[tuple[Fraction, Fraction], ...]
     normalized: bool
-
-    def value_at(self, x: Fraction) -> Fraction:
-        """Exact ordinate of the polyline at abscissa ``x``."""
-        pts = self.points
-        if x < pts[0][0] or x > pts[-1][0]:
-            raise ValueError(f"abscissa {x} outside curve domain")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= x <= x1:
-                if x == x0:
-                    return y0
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return pts[-1][1]
 
 
 def validate_tree_sequence(raw: Iterable[int]) -> DeltaSequence:

@@ -184,16 +184,19 @@ def plan_to_dict(plan: TransferPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> TransferPlan:
+    ranks = [(st["i"], st["j"]) for st in data["steps"]]
+    if any(type(r) is not int for pair in ranks for r in pair):
+        raise TypeError(f"ranks must be ints, got {ranks!r}")
     return TransferPlan(
         source=DeltaSequence(data["source"]),
         target=DeltaSequence(data["target"]),
         steps=tuple(
             TransferStep(
-                receiver_rank=int(st["i"]),
-                donor_rank=int(st["j"]),
+                receiver_rank=i,
+                donor_rank=j,
                 before=DeltaSequence(st["before"]),
                 after=DeltaSequence(st["after"]),
             )
-            for st in data["steps"]
+            for (i, j), st in zip(ranks, data["steps"])
         ),
     )

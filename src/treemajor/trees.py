@@ -1,5 +1,5 @@
-"""Labeled free trees: branches, degree-constrained branch moves, canonical
-codes deciding isomorphism, and spanning trees of connected graphs.
+"""Labeled free trees and connected graphs: branches, degree-constrained
+branch moves, and canonical codes deciding isomorphism.
 
 Trees are immutable values over labels 0..n-1; every operation returns a new
 tree.  A branch move detaches the subtree hanging off one edge of a donor
@@ -35,11 +35,9 @@ __all__ = [
     "move_branch",
     "legal_moves",
     "canonical_code",
-    "rooted_code",
     "is_isomorphic",
     "center",
     "centroids",
-    "spanning_tree",
     "cycle_graph",
     "complete_graph",
     "parse_tree",
@@ -59,7 +57,8 @@ def _normalize_edges(
     seen = set()
     out = []
     for u, v in edges:
-        u, v = int(u), int(v)
+        if type(u) is not int or type(v) is not int:
+            raise TypeError(f"edge labels must be ints, got ({u!r}, {v!r})")
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -94,29 +93,32 @@ def _reachable_from(n: int, adj: Sequence[Sequence[int]], start: int) -> set[int
     return seen
 
 
-class Tree:
-    """A labeled free tree on nodes 0..n-1.
+class Graph:
+    """A connected undirected graph on nodes 0..n-1.
 
-    Construction checks the edge count (n-1), label range, absence of
-    self-loops and duplicates, and connectivity.  Instances are immutable;
-    the canonical code is computed once on demand and cached.
+    Construction checks the label type and range, absence of self-loops and
+    duplicates, and connectivity (NotConnected otherwise).  Instances are
+    immutable.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_code")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if type(n) is not int:
+            raise TypeError(f"node count must be an int, got {n!r}")
         if n < 1:
-            raise ValueError(f"a tree needs at least one node, got n={n}")
+            raise ValueError(f"need at least one node, got n={n}")
         norm = _normalize_edges(n, edges)
-        if len(norm) != n - 1:
-            raise ValueError(f"a tree on {n} nodes needs {n - 1} edges, got {len(norm)}")
+        self._check_edge_count(n, len(norm))
         adj = _adjacency(n, norm)
         if len(_reachable_from(n, adj, 0)) != n:
             raise NotConnected(f"{len(norm)} edges do not connect all {n} nodes")
         self.n = n
         self.edges = frozenset(norm)
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
-        self._code: CanonicalCode | None = None
+
+    def _check_edge_count(self, n: int, m: int) -> None:
+        """Any edge count is allowed; runs before the connectivity check."""
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -124,8 +126,33 @@ class Tree:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def degree_sequence(self) -> DeltaSequence:
+        return DeltaSequence(len(self._adj[v]) for v in range(self.n))
+
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {self.sorted_edges()!r})"
+
+
+class Tree(Graph):
+    """A labeled free tree on nodes 0..n-1: a connected graph with exactly
+    n-1 edges.
+
+    Trees compare by value, and the canonical code is computed once on
+    demand and cached.
+    """
+
+    __slots__ = ("_code",)
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        super().__init__(n, edges)
+        self._code: CanonicalCode | None = None
+
+    def _check_edge_count(self, n: int, m: int) -> None:
+        if m != n - 1:
+            raise ValueError(f"a tree on {n} nodes needs {n - 1} edges, got {m}")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Tree):
@@ -134,9 +161,6 @@ class Tree:
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Tree({self.n}, {self.sorted_edges()!r})"
 
 
 @dataclass(frozen=True)
@@ -150,39 +174,6 @@ class Branch:
     root: int
     gateway: int
     members: frozenset[int]
-
-
-class Graph:
-    """A connected undirected graph on nodes 0..n-1.
-
-    Connectivity is validated at construction (NotConnected otherwise);
-    self-loops and duplicate edges are rejected.
-    """
-
-    __slots__ = ("n", "edges", "_adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise ValueError(f"a graph needs at least one node, got n={n}")
-        norm = _normalize_edges(n, edges)
-        adj = _adjacency(n, norm)
-        if len(_reachable_from(n, adj, 0)) != n:
-            raise NotConnected(f"graph on {n} nodes is not connected")
-        self.n = n
-        self.edges = frozenset(norm)
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def degree_sequence(self) -> DeltaSequence:
-        return DeltaSequence(len(self._adj[v]) for v in range(self.n))
-
-    def __repr__(self) -> str:
-        return f"Graph({self.n}, {sorted(self.edges)!r})"
 
 
 def chain(n: int) -> Tree:
@@ -255,8 +246,10 @@ def move_branch(
     differ from the donor; the donor must not be a leaf.  With
     ``enforce_degree_rule`` the target's current degree must be >= the
     donor's, which makes the resulting degree sequence strictly dominate the
-    old one.
+    old one.  Labels must be ints (TypeError otherwise).
     """
+    if type(donor) is not int or type(gateway) is not int or type(target) is not int:
+        raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
     members = branch_members(t, donor, gateway)  # also validates the edge
     if t.degree(donor) < 2:
         raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
@@ -424,27 +417,6 @@ def is_isomorphic(t1: Tree, t2: Tree) -> bool:
     return t1.n == t2.n and canonical_code(t1) == canonical_code(t2)
 
 
-def spanning_tree(g: Graph) -> Tree:
-    """Deterministic spanning tree of ``g``: BFS from node 0, visiting
-    neighbors in ascending label order.  Its edges are a subset of ``g``'s
-    and every node's tree degree is <= its graph degree.
-    """
-    from collections import deque
-
-    seen = [False] * g.n
-    seen[0] = True
-    edges = []
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
-                edges.append((u, w))
-                queue.append(w)
-    return Tree(g.n, edges)
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
@@ -495,7 +467,7 @@ def tree_to_dict(t: Tree) -> dict:
 
 
 def tree_from_dict(data: dict) -> Tree:
-    return Tree(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    return Tree(data["n"], data["edges"])
 
 
 def tree_to_dot(t: Tree, name: str = "tree") -> str:

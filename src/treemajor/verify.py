@@ -16,8 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BoundExceeded, NotMajorized
-from .realize import MoveTrace
+from .errors import BoundExceeded, NotMajorized, TreeMajorError
+from .realize import MoveTrace, apply_moves
 from .sequences import (
     CONVEX_TEST_FAMILY,
     ComparisonResult,
@@ -25,7 +25,7 @@ from .sequences import (
     compare,
     convex_functional,
 )
-from .enumeration import delta_census, enumerate_trees, tree_from_prufer
+from .enumeration import delta_census, enumerate_trees, tree_from_prufer, trees_with_delta
 from .trees import (
     CanonicalCode,
     Graph,
@@ -125,13 +125,23 @@ def _class_graph(n: int):
     representative per class suffices.
     """
     reps = {canonical_code(t): t for t in enumerate_trees(n)}
-    edges = {
-        code: frozenset(
-            canonical_code(move_branch(t, *mv)) for mv in legal_moves(t)
-        )
-        for code, t in reps.items()
-    }
+    edges = {code: _successor_codes(t) for code, t in reps.items()}
     return reps, edges
+
+
+def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
+    """Codes of the classes one degree-rule move away from ``t``."""
+    return frozenset(canonical_code(move_branch(t, *mv)) for mv in legal_moves(t))
+
+
+def _strict_pairs(census: list[DeltaSequence]) -> list[tuple[DeltaSequence, DeltaSequence]]:
+    """Census pairs (a, b) with a strictly below b, in nested census order."""
+    return [
+        (a, b)
+        for a in census
+        for b in census
+        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
+    ]
 
 
 def _closure_codes(edges: dict, start: CanonicalCode) -> frozenset[CanonicalCode]:
@@ -163,9 +173,8 @@ def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
 
 def reachability_closure(t: Tree) -> tuple[Tree, ...]:
     """Representative trees of :func:`reachable_classes`, sorted by code."""
-    _require_reachability_bound(t.n)
-    reps, edges = _class_graph(t.n)
-    codes = _closure_codes(edges, canonical_code(t))
+    codes = reachable_classes(t)
+    reps, _ = _class_graph(t.n)
     return tuple(reps[c] for c in sorted(codes))
 
 
@@ -228,25 +237,20 @@ def closure_is_closed(trees: tuple[Tree, ...]) -> bool:
     """True iff every degree-rule move from every member lands back in the
     set (up to isomorphism)."""
     codes = {canonical_code(t) for t in trees}
-    return all(
-        canonical_code(move_branch(t, *mv)) in codes
-        for t in trees
-        for mv in legal_moves(t)
-    )
+    return all(_successor_codes(t) <= codes for t in trees)
 
 
 def check_certificate(cert: ReachabilityCertificate) -> bool:
     """Re-verify a certificate from scratch; True iff it genuinely proves
-    its claim."""
+    its claim.  A trace that breaks the move rules is rejected; one whose
+    labels are not ints raises TypeError."""
     if cert.trace is not None:
         trace = cert.trace
         if trace.initial != cert.source:
             return False
-        cur = trace.initial
         try:
-            for donor, gateway, target in trace.moves:
-                cur = move_branch(cur, donor, gateway, target)
-        except Exception:
+            cur = apply_moves(trace.initial, trace.moves)
+        except (TreeMajorError, ValueError):
             return False
         return cur == trace.final and delta_sequence(cur) == cert.target_delta
     closure = cert.closure
@@ -287,24 +291,18 @@ def verify_majorization_reachability(
     reachable_deltas = {
         code: {delta_of[c] for c in closure} for code, closure in closures.items()
     }
-    census = delta_census(n)
     failures: list[ReachabilityCertificate] = []
-    for a in census:
-        for b in census:
-            if compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
-                continue
-            for code, d in delta_of.items():
-                if d == a and b not in reachable_deltas[code]:
-                    failures.append(
-                        ReachabilityCertificate(
-                            source=reps[code],
-                            target_delta=b,
-                            trace=None,
-                            closure=tuple(
-                                reps[c] for c in sorted(closures[code])
-                            ),
-                        )
+    for a, b in _strict_pairs(delta_census(n)):
+        for code, d in delta_of.items():
+            if d == a and b not in reachable_deltas[code]:
+                failures.append(
+                    ReachabilityCertificate(
+                        source=reps[code],
+                        target_delta=b,
+                        trace=None,
+                        closure=tuple(reps[c] for c in sorted(closures[code])),
                     )
+                )
     return (not failures, failures)
 
 
@@ -319,8 +317,6 @@ def find_unreachable_pair(
     Classes are scanned in canonical-code order, so the answer is
     deterministic.
     """
-    from .enumeration import trees_with_delta
-
     rel = compare(s, s_prime)
     if rel is ComparisonResult.EQUAL:
         return None
@@ -359,15 +355,11 @@ def verify_chain_minimality(n: int, sample_graphs: list[Graph]) -> bool:
 def verify_convex_monotonicity(n: int) -> bool:
     """For every strictly ordered census pair and every function in the
     fixed convex family, the summed functional must not decrease."""
-    census = delta_census(n)
-    for a in census:
-        for b in census:
-            if compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
-                continue
-            for _, phi in CONVEX_TEST_FAMILY:
-                if convex_functional(a, phi) > convex_functional(b, phi):
-                    return False
-    return True
+    return all(
+        convex_functional(a, phi) <= convex_functional(b, phi)
+        for a, b in _strict_pairs(delta_census(n))
+        for _, phi in CONVEX_TEST_FAMILY
+    )
 
 
 def covering_relations(
@@ -378,16 +370,13 @@ def covering_relations(
     if n > HASSE_MAX_NODES:
         raise BoundExceeded(f"order diagrams support n <= {HASSE_MAX_NODES}, got {n}")
     census = delta_census(n)
-    below = {
+    pairs = _strict_pairs(census)
+    below = set(pairs)
+    covers = [
         (a, b)
-        for a in census
-        for b in census
-        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
-    }
-    covers = []
-    for a, b in below:
-        if not any((a, c) in below and (c, b) in below for c in census):
-            covers.append((a, b))
+        for a, b in pairs
+        if not any((a, c) in below and (c, b) in below for c in census)
+    ]
     covers.sort(key=lambda ab: (ab[0].values, ab[1].values))
     return covers
 

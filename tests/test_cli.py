@@ -13,6 +13,7 @@ from treemajor import (
     delta_sequence,
     apply_moves,
 )
+from treemajor import cli
 from treemajor.cli import main
 
 
@@ -205,6 +206,12 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 4
+
+    def test_failed_check_exit_five(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_convex_monotonicity", lambda n: False)
+        code, out, _ = run(capsys, "verify", "5", "--convex")
+        assert code == 5
+        assert "convex n=5: FAIL" in out
 
     def test_structured(self, capsys):
         _, out, _ = run(

@@ -159,6 +159,12 @@ class TestTraceSerialization:
         trace = realize_from_chain(DeltaSequence([4, 2, 2, 2, 1, 1, 1, 1]))
         assert trace_from_dict(trace_to_dict(trace)) == trace
 
+    def test_dict_rejects_non_int_move_label(self):
+        data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))
+        data["moves"][0][2] = float(data["moves"][0][2])
+        with pytest.raises(TypeError):
+            trace_from_dict(data)
+
     def test_replay_matches_recorded_final(self):
         trace = realize_from_chain(DeltaSequence([3, 3, 2, 1, 1, 1, 1]))
         assert apply_moves(trace.initial, trace.moves) == trace.final

@@ -44,6 +44,11 @@ class TestDeltaSequence:
         with pytest.raises(ValueError):
             DeltaSequence([])
 
+    @pytest.mark.parametrize("values", [[2.7, 1.2], [True, True], ["3", "1"]])
+    def test_rejects_non_int(self, values):
+        with pytest.raises(TypeError):
+            DeltaSequence(values)
+
     def test_immutable(self):
         s = DeltaSequence([2, 1, 1])
         with pytest.raises(AttributeError):
@@ -191,11 +196,6 @@ class TestLorenzCurve:
                 assert all(
                     y1 >= y0 for (_, y0), (_, y1) in zip(pts, pts[1:])
                 )
-
-    def test_value_at_interpolates(self):
-        curve = lorenz_curve(DeltaSequence([3, 1]), normalized=True)
-        assert curve.value_at(Fraction(1, 4)) == Fraction(3, 8)
-        assert curve.value_at(Fraction(3, 4)) == Fraction(7, 8)
 
     def test_dominance_matches_curve_order_n8(self):
         # strict dominance <=> the upper curve sits pointwise above, with

@@ -235,3 +235,15 @@ class TestSerialization:
             DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
         )
         assert plan_from_dict(plan_to_dict(plan)) == plan
+
+    @pytest.mark.parametrize("field, value", [("target", [3.9, 1, 1, 1]), ("i", 1.0)])
+    def test_dict_rejects_non_int(self, field, value):
+        data = plan_to_dict(
+            plan_transfers(DeltaSequence([2, 2, 1, 1]), DeltaSequence([3, 1, 1, 1]))
+        )
+        if field == "i":
+            data["steps"][0]["i"] = value
+        else:
+            data[field] = value
+        with pytest.raises(TypeError):
+            plan_from_dict(data)

@@ -1,4 +1,4 @@
-"""Trees, branches, branch moves, canonical codes, graphs, spanning trees."""
+"""Trees, branches, branch moves, canonical codes, graphs."""
 
 import itertools
 import random
@@ -30,7 +30,6 @@ from treemajor import (
     legal_moves,
     move_branch,
     parse_tree,
-    spanning_tree,
     star,
     tree_from_dict,
     tree_from_prufer,
@@ -78,6 +77,19 @@ class TestTreeConstruction:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             Tree(3, [(0, 1), (1, 3)])
+
+    @pytest.mark.parametrize(
+        "cls, n, edges",
+        [
+            (Tree, 3, [(0, 1.5), (1, 2)]),
+            (Tree, 3, [(0, True), (1, 2)]),
+            (Graph, 3, [(0, 1), (1, "2")]),
+            (Tree, 3.0, [(0, 1), (1, 2)]),
+        ],
+    )
+    def test_non_int_label_rejected(self, cls, n, edges):
+        with pytest.raises(TypeError):
+            cls(n, edges)
 
     def test_disconnected(self):
         # right edge count, but a triangle plus an isolated node
@@ -258,42 +270,6 @@ class TestGraphs:
         assert cycle_graph(5).degree_sequence().values == (2, 2, 2, 2, 2)
 
 
-class TestSpanningTree:
-    def test_tree_input_is_identity(self):
-        t = chain(5)
-        g = Graph(5, t.edges)
-        assert spanning_tree(g) == t
-
-    def test_four_cycle_gives_chain(self):
-        g = cycle_graph(4)
-        assert is_isomorphic(spanning_tree(g), chain(4))
-
-    def test_triangle_gives_chain(self):
-        assert is_isomorphic(spanning_tree(complete_graph(3)), chain(3))
-
-    def test_subset_and_degree_bound(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(4, 9)
-            base = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
-            extra = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in base.edges and rng.random() < 0.3
-            ]
-            g = Graph(n, set(base.edges) | set(extra))
-            t = spanning_tree(g)
-            assert t.edges <= g.edges
-            assert t.n == g.n
-            # node-by-node: tree degree never exceeds graph degree
-            assert all(t.degree(v) <= g.degree(v) for v in range(n))
-
-    def test_deterministic(self):
-        g = cycle_graph(6)
-        assert spanning_tree(g) == spanning_tree(g)
-
-
 class TestTreeText:
     def test_round_trip(self):
         t = Tree(5, [(0, 2), (2, 1), (2, 3), (3, 4)])
@@ -302,6 +278,10 @@ class TestTreeText:
     def test_dict_round_trip(self):
         t = star(5)
         assert tree_from_dict(tree_to_dict(t)) == t
+
+    def test_dict_rejects_float_label(self):
+        with pytest.raises(TypeError):
+            tree_from_dict({"n": 3, "edges": [[0, 1.9], [1, 2]]})
 
     def test_parse_rejects_self_loop(self):
         with pytest.raises(ParseError):

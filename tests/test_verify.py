@@ -9,6 +9,7 @@ from treemajor import (
     ComparisonResult,
     DeltaSequence,
     Graph,
+    MoveTrace,
     NotMajorized,
     OrderReport,
     ReachabilityCertificate,
@@ -150,6 +151,35 @@ class TestCertificates:
             closure=cert.closure,
         )
         assert not check_certificate(forged)
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            (1, 2, 0),  # leaf target below the donor's degree
+            (0, 2, 3),  # (0, 2) is not an edge
+            (1, 2, 7),  # target outside 0..6
+        ],
+    )
+    def test_rule_breaking_trace_fails(self, move):
+        t = chain(7)
+        forged = ReachabilityCertificate(
+            source=t,
+            target_delta=delta_sequence(t),
+            trace=MoveTrace(initial=t, moves=(move,), final=t),
+            closure=None,
+        )
+        assert not check_certificate(forged)
+
+    def test_non_int_trace_label_raises(self):
+        t = chain(7)
+        forged = ReachabilityCertificate(
+            source=t,
+            target_delta=delta_sequence(t),
+            trace=MoveTrace(initial=t, moves=((1, 2, 4.0),), final=t),
+            closure=None,
+        )
+        with pytest.raises(TypeError):
+            check_certificate(forged)
 
     def test_exactly_one_side_required(self):
         with pytest.raises(ValueError):
