@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .sequences import (
     DeltaSequence,
     compare,
     lorenz_curve,
-    parse_sequence,
+    parse_values,
     prefix_sums,
 )
 from .transfers import format_plan, plan_to_dict, plan_transfers
@@ -57,13 +56,9 @@ EXIT_VERIFY_FAILED = 5
 
 def _read_sequence(text: str) -> DeltaSequence:
     """Parse a sequence, noting on stderr when the input was unsorted."""
-    seq = parse_sequence(text)
-    tokens = [tok for tok in re.split(r"[,\s()]+", text.strip()) if tok]
-    try:
-        given = tuple(int(tok) for tok in tokens)
-    except ValueError:
-        given = None
-    if given is not None and given != seq.values:
+    given = parse_values(text)
+    seq = DeltaSequence(given)
+    if tuple(given) != seq.values:
         print(f"note: sequence re-sorted to {seq}", file=sys.stderr)
     return seq
 

@@ -7,14 +7,21 @@ construction.  Each checks the other in the test suite.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import neg
 
-from .errors import InvalidPlan, NotTreeFeasible, ParseError
+from .errors import (
+    DegreeRuleViolation,
+    DonorIsLeaf,
+    InvalidPlan,
+    NotTreeFeasible,
+    ParseError,
+)
 from .sequences import DeltaSequence, validate_tree_sequence
 from .transfers import TransferPlan, plan_transfers
 from .trees import (
     Tree,
-    branches_at,
     chain,
     delta_sequence,
     format_tree,
@@ -100,13 +107,6 @@ def realize_direct(target: DeltaSequence) -> Tree:
     return Tree(seq.n, edges)
 
 
-def _pick_node(t: Tree, degree: int, exclude: int | None = None) -> int:
-    for v in range(t.n):
-        if v != exclude and t.degree(v) == degree:
-            return v
-    raise InvalidPlan(f"no node of degree {degree} available")
-
-
 def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     """Realize a transfer plan as concrete branch moves on ``t``.
 
@@ -116,28 +116,77 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     branch is the donor's smallest-gateway branch not containing the
     receiver.  Every move satisfies the degree rule, so the degree sequence
     after each move equals the step's recorded ``after``.
+
+    The moves run on a working adjacency (neighbour sets, degree -> sorted
+    labels, and the descending degree list), and the result is frozen into
+    one validated ``Tree`` at the end.  Each step raises what
+    :func:`move_branch` would: DonorIsLeaf for a leaf donor and
+    DegreeRuleViolation for a receiver of smaller degree; InvalidPlan when
+    no node carries a required degree or the degrees drift from the plan.
     """
-    if delta_sequence(t) != plan.source:
+    source = delta_sequence(t)
+    if source != plan.source:
         raise ValueError(
-            f"tree degrees {delta_sequence(t)} do not match plan source {plan.source}"
+            f"tree degrees {source} do not match plan source {plan.source}"
         )
+    nbrs = [set(t.neighbors(v)) for v in range(t.n)]
+    by_degree: dict[int, list[int]] = {}
+    for v, ws in enumerate(nbrs):
+        by_degree.setdefault(len(ws), []).append(v)
+    degrees = list(source.values)
     moves: list[tuple[int, int, int]] = []
-    cur = t
     for step in plan.steps:
         receiver_value = step.before[step.receiver_rank - 1]
         donor_value = step.before[step.donor_rank - 1]
-        receiver = _pick_node(cur, receiver_value)
-        donor = _pick_node(cur, donor_value, exclude=receiver)
-        branch = next(
-            b for b in branches_at(cur, donor) if receiver not in b.members
-        )
-        cur = move_branch(cur, donor, branch.gateway, receiver)
-        moves.append((donor, branch.gateway, receiver))
-        if delta_sequence(cur) != step.after:
-            raise InvalidPlan(
-                f"move left degrees {delta_sequence(cur)}, expected {step.after}"
+        bucket = by_degree.get(receiver_value)
+        if not bucket:
+            raise InvalidPlan(f"no node of degree {receiver_value} available")
+        receiver = bucket[0]
+        others = [v for v in by_degree.get(donor_value, [])[:2] if v != receiver]
+        if not others:
+            raise InvalidPlan(f"no node of degree {donor_value} available")
+        donor = others[0]
+        if donor_value < 2:
+            raise DonorIsLeaf(
+                f"node {donor} is a leaf; removing its branch strands it"
             )
-    return MoveTrace(initial=t, moves=tuple(moves), final=cur)
+        if receiver_value < donor_value:
+            raise DegreeRuleViolation(
+                f"target degree {receiver_value} < donor degree {donor_value}"
+            )
+        # The donor's neighbour on its path to the receiver heads the one
+        # branch that holds the receiver; the smallest other neighbour is
+        # the gateway of the branch that moves.
+        seen = {receiver}
+        stack = [receiver]
+        toward = -1
+        while toward < 0:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w == donor:
+                    toward = u
+                    break
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        gateway = min(nbrs[donor] - {toward})
+        nbrs[donor].remove(gateway)
+        nbrs[gateway].remove(donor)
+        nbrs[gateway].add(receiver)
+        nbrs[receiver].add(gateway)
+        by_degree[receiver_value].remove(receiver)
+        insort(by_degree.setdefault(receiver_value + 1, []), receiver)
+        by_degree[donor_value].remove(donor)
+        insort(by_degree.setdefault(donor_value - 1, []), donor)
+        degrees[bisect_left(degrees, -receiver_value, key=neg)] += 1
+        degrees[bisect_right(degrees, -donor_value, key=neg) - 1] -= 1
+        moves.append((donor, gateway, receiver))
+        if tuple(degrees) != step.after.values:
+            raise InvalidPlan(
+                f"move left degrees {DeltaSequence(degrees)}, expected {step.after}"
+            )
+    final = Tree(t.n, [(u, w) for u in range(t.n) for w in nbrs[u] if u < w])
+    return MoveTrace(initial=t, moves=tuple(moves), final=final)
 
 
 def format_trace(trace: MoveTrace) -> str:

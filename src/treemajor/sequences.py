@@ -222,11 +222,9 @@ CONVEX_TEST_FAMILY: tuple[tuple[str, Callable[[int], int]], ...] = (
 )
 
 
-def parse_sequence(text: str) -> DeltaSequence:
-    """Parse integers separated by commas/whitespace, with optional parens.
-
-    Input order is ignored; the result is sorted descending.
-    """
+def parse_values(text: str) -> list[int]:
+    """The integers of a sequence text, in input order: separated by
+    commas/whitespace, with optional enclosing parens."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -234,10 +232,17 @@ def parse_sequence(text: str) -> DeltaSequence:
     if not tokens:
         raise ParseError(f"no degree values found in {text!r}")
     try:
-        values = [int(tok) for tok in tokens]
+        return [int(tok) for tok in tokens]
     except ValueError as exc:
         raise ParseError(f"bad degree value in {text!r}: {exc}") from None
-    return DeltaSequence(values)
+
+
+def parse_sequence(text: str) -> DeltaSequence:
+    """Parse integers separated by commas/whitespace, with optional parens.
+
+    Input order is ignored; the result is sorted descending.
+    """
+    return DeltaSequence(parse_values(text))
 
 
 def format_sequence(s: DeltaSequence) -> str:

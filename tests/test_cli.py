@@ -48,6 +48,11 @@ class TestCompare:
         assert code == 0
         assert "re-sorted" in err
 
+    def test_sorted_input_no_notice(self, capsys):
+        code, _, err = run(capsys, "compare", "(2, 2, 1, 1)", "2,2,1,1")
+        assert code == 0
+        assert err == ""
+
     def test_bad_input_exit_two(self, capsys):
         code, _, err = run(capsys, "compare", "1,x", "1,1")
         assert code == 2 and "error" in err

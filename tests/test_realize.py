@@ -1,19 +1,32 @@
 """Realization of feasible sequences: plan replay on trees and the direct
 caterpillar construction."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treemajor import (
+    ComparisonResult,
+    DegreeRuleViolation,
     DeltaSequence,
+    DonorIsLeaf,
+    InvalidPlan,
     MoveTrace,
     NotTreeFeasible,
+    TransferPlan,
+    TransferStep,
     apply_moves,
+    branches_at,
     canonical_code,
     chain,
+    compare,
     delta_census,
     delta_sequence,
     format_trace,
     is_isomorphic,
+    move_branch,
     parse_trace,
     plan_transfers,
     realize_direct,
@@ -22,8 +35,52 @@ from treemajor import (
     star,
     trace_from_dict,
     trace_to_dict,
+    tree_from_prufer,
     trees_with_delta,
 )
+
+
+def _replay_reference(t, plan):
+    """Slow reference for replay_plan_on_tree: scan every node for each
+    pick, compute every branch of the donor, and rebuild and re-validate
+    the whole tree on each move."""
+
+    def pick(cur, degree, exclude=None):
+        for v in range(cur.n):
+            if v != exclude and cur.degree(v) == degree:
+                return v
+        raise InvalidPlan(f"no node of degree {degree} available")
+
+    assert delta_sequence(t) == plan.source
+    moves = []
+    cur = t
+    for step in plan.steps:
+        receiver = pick(cur, step.before[step.receiver_rank - 1])
+        donor = pick(cur, step.before[step.donor_rank - 1], exclude=receiver)
+        branch = next(
+            b for b in branches_at(cur, donor) if receiver not in b.members
+        )
+        cur = move_branch(cur, donor, branch.gateway, receiver)
+        moves.append((donor, branch.gateway, receiver))
+        if delta_sequence(cur) != step.after:
+            raise InvalidPlan(f"move left degrees {delta_sequence(cur)}")
+    return MoveTrace(initial=t, moves=tuple(moves), final=cur)
+
+
+def _prufer_tree(n, hubs, rng):
+    """The tree of a random Prufer sequence; with ``hubs`` each entry lands
+    on a hub with probability 0.9, which concentrates degree."""
+    return tree_from_prufer(
+        [
+            rng.choice(hubs) if hubs and rng.random() < 0.9 else rng.randrange(n)
+            for _ in range(n - 2)
+        ]
+    )
+
+
+def _assert_matches_reference(t, target):
+    plan = plan_transfers(delta_sequence(t), target)
+    assert replay_plan_on_tree(t, plan) == _replay_reference(t, plan)
 
 
 class TestRealizeFromChain:
@@ -169,3 +226,95 @@ class TestTraceSerialization:
         trace = realize_from_chain(DeltaSequence([3, 3, 2, 1, 1, 1, 1]))
         assert apply_moves(trace.initial, trace.moves) == trace.final
         assert isinstance(trace, MoveTrace)
+
+
+class TestReplayAgainstReference:
+    """The working-state replay makes the same moves as the per-move
+    reference and ends at the same tree."""
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_census_from_chain(self, n):
+        for target in delta_census(n):
+            _assert_matches_reference(chain(n), target)
+
+    def test_every_source_class_to_every_dominating_target(self):
+        census = delta_census(8)
+        for source in census:
+            targets = [
+                y
+                for y in census
+                if compare(source, y)
+                in (ComparisonResult.EQUAL, ComparisonResult.STRICTLY_BELOW)
+            ]
+            for t in trees_with_delta(8, source):
+                for target in targets:
+                    _assert_matches_reference(t, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 150),
+        hub_count=st.integers(0, 5),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_uniform_and_hub_heavy_prufer_sequences(self, n, hub_count, rng):
+        t = _prufer_tree(n, rng.sample(range(n), min(n, hub_count)), rng)
+        _assert_matches_reference(chain(n), delta_sequence(t))
+        # from a tree with donors of degree >= 3, where the gateway is a choice
+        _assert_matches_reference(t, delta_sequence(star(n)))
+
+
+class TestReplayChecks:
+    """Every per-step check raises a TreeMajorError subclass."""
+
+    def test_leaf_donor(self):
+        s = delta_sequence(chain(4))
+        step = TransferStep(1, 4, s, DeltaSequence([3, 2, 1, 1]))
+        plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (step,))
+        with pytest.raises(DonorIsLeaf):
+            replay_plan_on_tree(chain(4), plan)
+
+    def test_receiver_below_donor(self):
+        s = delta_sequence(chain(5))
+        step = TransferStep(4, 1, s, s)
+        plan = TransferPlan(s, s, (step,))
+        with pytest.raises(DegreeRuleViolation):
+            replay_plan_on_tree(chain(5), plan)
+
+    def test_tampered_after(self):
+        plan = plan_transfers(
+            DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
+            DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
+        )
+        steps = list(plan.steps)
+        steps[1] = dataclasses.replace(steps[1], after=steps[2].after)
+        tampered = dataclasses.replace(plan, steps=tuple(steps))
+        with pytest.raises(InvalidPlan):
+            replay_plan_on_tree(chain(8), tampered)
+
+    def test_no_node_of_required_degree(self):
+        s = delta_sequence(chain(5))
+        step = TransferStep(1, 2, DeltaSequence([3, 2, 1, 1, 1]), s)
+        plan = TransferPlan(s, s, (step,))
+        with pytest.raises(InvalidPlan):
+            replay_plan_on_tree(chain(5), plan)
+
+
+class TestRealizeLargeN:
+    """Sizes the per-move rebuild could not afford."""
+
+    def _check(self, target):
+        trace = realize_from_chain(target)
+        plan = plan_transfers(delta_sequence(chain(target.n)), target)
+        assert delta_sequence(trace.final) == target
+        assert len(trace.moves) == len(plan.steps)
+        return trace
+
+    def test_star_3000(self):
+        target = delta_sequence(star(3000))
+        trace = self._check(target)
+        assert is_isomorphic(trace.final, realize_direct(target))
+
+    def test_hub_heavy_2000(self):
+        rng = random.Random(2000)
+        t = _prufer_tree(2000, rng.sample(range(2000), 3), rng)
+        self._check(delta_sequence(t))
