@@ -7,9 +7,8 @@ construction.  Each checks the other in the test suite.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import neg
+from heapq import heappop, heappush
 
 from .errors import (
     DegreeRuleViolation,
@@ -19,7 +18,7 @@ from .errors import (
     ParseError,
 )
 from .sequences import DeltaSequence, validate_tree_sequence
-from .transfers import TransferPlan, plan_transfers
+from .transfers import TransferPlan, plan_transfers, transfer_in_place
 from .trees import (
     Tree,
     chain,
@@ -115,14 +114,13 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     smallest distinct label carrying the donor rank's value, and the moved
     branch is the donor's smallest-gateway branch not containing the
     receiver.  Every move satisfies the degree rule, so the degree sequence
-    after each move equals the step's recorded ``after``.
+    after each move is the plan's next sequence.
 
-    The moves run on a working adjacency (neighbour sets, degree -> sorted
+    The moves run on a working adjacency (neighbour sets, degree -> heap of
     labels, and the descending degree list), and the result is frozen into
-    one validated ``Tree`` at the end.  Each step raises what
-    :func:`move_branch` would: DonorIsLeaf for a leaf donor and
-    DegreeRuleViolation for a receiver of smaller degree; InvalidPlan when
-    no node carries a required degree or the degrees drift from the plan.
+    one validated ``Tree`` at the end.  A step raises what
+    :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation), or
+    InvalidPlan for ranks outside 1..n or not in receiver-donor order.
     """
     source = delta_sequence(t)
     if source != plan.source:
@@ -136,30 +134,27 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     degrees = list(source.values)
     moves: list[tuple[int, int, int]] = []
     for step in plan.steps:
-        receiver_value = step.before[step.receiver_rank - 1]
-        donor_value = step.before[step.donor_rank - 1]
-        bucket = by_degree.get(receiver_value)
-        if not bucket:
-            raise InvalidPlan(f"no node of degree {receiver_value} available")
-        receiver = bucket[0]
-        others = [v for v in by_degree.get(donor_value, [])[:2] if v != receiver]
-        if not others:
-            raise InvalidPlan(f"no node of degree {donor_value} available")
-        donor = others[0]
+        i, j = step.receiver_rank, step.donor_rank
+        if not (1 <= i <= t.n and 1 <= j <= t.n):
+            raise InvalidPlan(f"ranks must lie in 1..{t.n}, got i={i}, j={j}")
+        receiver_value, donor_value = degrees[i - 1], degrees[j - 1]
         if donor_value < 2:
-            raise DonorIsLeaf(
-                f"node {donor} is a leaf; removing its branch strands it"
-            )
+            raise DonorIsLeaf(f"rank {j} holds a leaf; moving a branch strands it")
         if receiver_value < donor_value:
             raise DegreeRuleViolation(
                 f"target degree {receiver_value} < donor degree {donor_value}"
             )
+        if i >= j:
+            raise InvalidPlan(f"receiver rank {i} >= donor rank {j}")
+        # with i < j, two nodes hold the value when both ranks share it
+        receiver = heappop(by_degree[receiver_value])
+        donor = heappop(by_degree[donor_value])
         # The donor's neighbour on its path to the receiver heads the one
         # branch that holds the receiver; the smallest other neighbour is
         # the gateway of the branch that moves.
+        toward = receiver if donor in nbrs[receiver] else -1
         seen = {receiver}
         stack = [receiver]
-        toward = -1
         while toward < 0:
             u = stack.pop()
             for w in nbrs[u]:
@@ -174,17 +169,10 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
         nbrs[gateway].remove(donor)
         nbrs[gateway].add(receiver)
         nbrs[receiver].add(gateway)
-        by_degree[receiver_value].remove(receiver)
-        insort(by_degree.setdefault(receiver_value + 1, []), receiver)
-        by_degree[donor_value].remove(donor)
-        insort(by_degree.setdefault(donor_value - 1, []), donor)
-        degrees[bisect_left(degrees, -receiver_value, key=neg)] += 1
-        degrees[bisect_right(degrees, -donor_value, key=neg) - 1] -= 1
+        heappush(by_degree.setdefault(receiver_value + 1, []), receiver)
+        heappush(by_degree.setdefault(donor_value - 1, []), donor)
+        transfer_in_place(degrees, i, j)
         moves.append((donor, gateway, receiver))
-        if tuple(degrees) != step.after.values:
-            raise InvalidPlan(
-                f"move left degrees {DeltaSequence(degrees)}, expected {step.after}"
-            )
     final = Tree(t.n, [(u, w) for u in range(t.n) for w in nbrs[u] if u < w])
     return MoveTrace(initial=t, moves=tuple(moves), final=final)
 

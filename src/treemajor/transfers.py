@@ -9,7 +9,11 @@ chain from any sequence to any sequence that dominates it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import neg
+from typing import Iterator
 
 from .errors import (
     DonorWouldVanish,
@@ -35,17 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferStep:
-    """One recorded basic transfer.
-
-    Ranks are 1-based positions into ``before``; ``after`` is the re-sorted
-    result.  Snapshots are kept on every step because re-sorting changes
-    what a rank denotes from one step to the next.
-    """
+    """One basic transfer, as 1-based ranks into the sequence it starts from."""
 
     receiver_rank: int
     donor_rank: int
-    before: DeltaSequence
-    after: DeltaSequence
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,33 @@ class TransferPlan:
     def __len__(self) -> int:
         return len(self.steps)
 
+    def sequences(self) -> Iterator[DeltaSequence]:
+        """Yield ``source``, then the sequence after each step; a step that
+        cannot be applied raises what :func:`basic_transfer` raises."""
+        vals = list(self.source.values)
+        yield self.source
+        for step in self.steps:
+            transfer_in_place(vals, step.receiver_rank, step.donor_rank)
+            yield DeltaSequence(vals)
+
+
+def transfer_in_place(vals: list[int], i: int, j: int) -> None:
+    """:func:`basic_transfer` on a descending list, kept descending in place:
+    the unit lands on the first slot holding the receiver's value and leaves
+    the last slot holding the donor's value, where re-sorting puts them."""
+    n = len(vals)
+    if not (1 <= i <= n) or not (1 <= j <= n):
+        raise ValueError(f"ranks must lie in 1..{n}, got i={i}, j={j}")
+    if i == j:
+        raise SameRank(f"receiver and donor rank are both {i}")
+    receiver, donor = vals[i - 1], vals[j - 1]
+    if donor < 2:
+        raise DonorWouldVanish(
+            f"rank {j} holds {donor}; a transfer would drop it below 1"
+        )
+    vals[bisect_left(vals, -receiver, key=neg)] += 1
+    vals[bisect_right(vals, -donor, key=neg) - 1] -= 1
+
 
 def basic_transfer(s: DeltaSequence, i: int, j: int) -> DeltaSequence:
     """Move one unit from rank ``j`` to rank ``i`` (1-based) and re-sort.
@@ -66,18 +90,8 @@ def basic_transfer(s: DeltaSequence, i: int, j: int) -> DeltaSequence:
     The donor value must be at least 2 so no value ever drops below 1.
     With ``i < j`` (the tree variant) the result strictly dominates ``s``.
     """
-    n = len(s)
-    if not (1 <= i <= n) or not (1 <= j <= n):
-        raise ValueError(f"ranks must lie in 1..{n}, got i={i}, j={j}")
-    if i == j:
-        raise SameRank(f"receiver and donor rank are both {i}")
-    if s[j - 1] < 2:
-        raise DonorWouldVanish(
-            f"rank {j} holds {s[j - 1]}; a transfer would drop it below 1"
-        )
     vals = list(s.values)
-    vals[i - 1] += 1
-    vals[j - 1] -= 1
+    transfer_in_place(vals, i, j)
     return DeltaSequence(vals)
 
 
@@ -88,7 +102,8 @@ def plan_transfers(source: DeltaSequence, target: DeltaSequence) -> TransferPlan
     sequence falls short of the target, taken from the first rank where it
     exceeds the target, re-sorting after each step.  Under the dominance
     precondition the receiving rank always precedes the donating rank, so
-    every step is a valid tree-variant transfer.
+    every step is a valid tree-variant transfer.  Neither rank ever moves
+    back, so both are found by scanning forward.
 
     Equal sequences yield an empty plan.  Raises NotMajorized when the
     target does not dominate the source (including unequal totals, which no
@@ -109,50 +124,37 @@ def plan_transfers(source: DeltaSequence, target: DeltaSequence) -> TransferPlan
     if rel is not ComparisonResult.STRICTLY_BELOW:
         raise NotMajorized(f"{source} is not majorized by {target} ({rel})")
 
+    vals, goal = list(source.values), target.values
     steps: list[TransferStep] = []
-    cur = source
-    while cur != target:
-        i = next(
-            k + 1 for k, (a, b) in enumerate(zip(cur, target)) if a < b
-        )
-        j = next(
-            k + 1 for k, (a, b) in enumerate(zip(cur, target)) if a > b
-        )
-        nxt = basic_transfer(cur, i, j)
-        steps.append(
-            TransferStep(receiver_rank=i, donor_rank=j, before=cur, after=nxt)
-        )
-        cur = nxt
+    j = 0
+    for i, want in enumerate(goal):
+        while vals[i] < want:
+            while vals[j] <= goal[j]:
+                j += 1
+            steps.append(TransferStep(receiver_rank=i + 1, donor_rank=j + 1))
+            transfer_in_place(vals, i + 1, j + 1)
     return TransferPlan(source=source, target=target, steps=tuple(steps))
 
 
 def replay(plan: TransferPlan) -> DeltaSequence:
     """Re-apply every step of ``plan`` from its source and return the result.
 
-    Each step is validated against its recorded snapshots and against the
-    tree-variant transfer preconditions (receiver rank before donor rank,
-    donor value at least 2); any violation raises InvalidPlan.
+    A step breaking the tree-variant preconditions (receiver rank before
+    donor rank, donor value at least 2), or an end short of the target,
+    raises InvalidPlan.
     """
-    cur = plan.source
+    vals = list(plan.source.values)
     for k, step in enumerate(plan.steps, start=1):
-        if step.before != cur:
-            raise InvalidPlan(
-                f"step {k} starts from {step.before} but the sequence is {cur}"
-            )
         if step.receiver_rank >= step.donor_rank:
             raise InvalidPlan(
                 f"step {k} has receiver rank {step.receiver_rank} "
                 f">= donor rank {step.donor_rank}"
             )
         try:
-            nxt = basic_transfer(cur, step.receiver_rank, step.donor_rank)
+            transfer_in_place(vals, step.receiver_rank, step.donor_rank)
         except (TreeMajorError, ValueError) as exc:
             raise InvalidPlan(f"step {k} cannot be applied: {exc}") from exc
-        if nxt != step.after:
-            raise InvalidPlan(
-                f"step {k} records {step.after} but applying it gives {nxt}"
-            )
-        cur = nxt
+    cur = DeltaSequence(vals)
     if cur != plan.target:
         raise InvalidPlan(f"replay ends at {cur}, not the target {plan.target}")
     return cur
@@ -161,8 +163,8 @@ def replay(plan: TransferPlan) -> DeltaSequence:
 def format_plan(plan: TransferPlan) -> str:
     """Line-oriented text: one step per line, `i j | before -> after`."""
     return "\n".join(
-        f"{st.receiver_rank} {st.donor_rank} | {st.before} -> {st.after}"
-        for st in plan.steps
+        f"{st.receiver_rank} {st.donor_rank} | {before} -> {after}"
+        for st, (before, after) in zip(plan.steps, pairwise(plan.sequences()))
     )
 
 
@@ -175,28 +177,37 @@ def plan_to_dict(plan: TransferPlan) -> dict:
             {
                 "i": st.receiver_rank,
                 "j": st.donor_rank,
-                "before": list(st.before.values),
-                "after": list(st.after.values),
+                "before": list(before.values),
+                "after": list(after.values),
             }
-            for st in plan.steps
+            for st, (before, after) in zip(plan.steps, pairwise(plan.sequences()))
         ],
     }
 
 
 def plan_from_dict(data: dict) -> TransferPlan:
+    """Inverse of :func:`plan_to_dict`.  The ranks define the plan; recorded
+    ``before``/``after`` sequences that differ from theirs raise InvalidPlan."""
     ranks = [(st["i"], st["j"]) for st in data["steps"]]
     if any(type(r) is not int for pair in ranks for r in pair):
         raise TypeError(f"ranks must be ints, got {ranks!r}")
-    return TransferPlan(
+    plan = TransferPlan(
         source=DeltaSequence(data["source"]),
         target=DeltaSequence(data["target"]),
-        steps=tuple(
-            TransferStep(
-                receiver_rank=i,
-                donor_rank=j,
-                before=DeltaSequence(st["before"]),
-                after=DeltaSequence(st["after"]),
-            )
-            for (i, j), st in zip(ranks, data["steps"])
-        ),
+        steps=tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j in ranks),
     )
+    try:
+        walk = list(pairwise(plan.sequences()))
+        recorded = [
+            (DeltaSequence(st["before"]), DeltaSequence(st["after"]))
+            for st in data["steps"]
+        ]
+    except (TreeMajorError, ValueError) as exc:
+        raise InvalidPlan(f"recorded steps cannot be checked: {exc}") from exc
+    for k, (got, rec) in enumerate(zip(walk, recorded), start=1):
+        if got != rec:
+            raise InvalidPlan(
+                f"step {k} records {rec[0]} -> {rec[1]}, "
+                f"but its ranks give {got[0]} -> {got[1]}"
+            )
+    return plan

@@ -58,8 +58,9 @@ def test_02_two_step_plan_golden_trace():
         DeltaSequence([5, 3, 1, 1, 1, 1, 1, 1]),
     )
     assert len(plan.steps) == 2
-    assert plan.steps[0].after.values == (4, 3, 2, 1, 1, 1, 1, 1)
-    assert plan.steps[1].after.values == (5, 3, 1, 1, 1, 1, 1, 1)
+    _, first, second = plan.sequences()
+    assert first.values == (4, 3, 2, 1, 1, 1, 1, 1)
+    assert second.values == (5, 3, 1, 1, 1, 1, 1, 1)
     _passed(2, "plan (3,3,3,1^5)->(5,3,1^6) is exactly 2 steps via (4,3,2,1^5)")
 
 
@@ -68,7 +69,7 @@ def test_03_three_step_plan_from_chain_delta():
         DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
         DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
     )
-    assert [st.after.values for st in plan.steps] == [
+    assert [s.values for s in plan.sequences()][1:] == [
         (3, 2, 2, 2, 2, 1, 1, 1),
         (4, 2, 2, 2, 1, 1, 1, 1),
         (5, 2, 2, 1, 1, 1, 1, 1),

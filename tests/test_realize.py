@@ -1,8 +1,8 @@
 """Realization of feasible sequences: plan replay on trees and the direct
 caterpillar construction."""
 
-import dataclasses
 import random
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +31,7 @@ from treemajor import (
     plan_transfers,
     realize_direct,
     realize_from_chain,
+    replay,
     replay_plan_on_tree,
     star,
     trace_from_dict,
@@ -54,15 +55,15 @@ def _replay_reference(t, plan):
     assert delta_sequence(t) == plan.source
     moves = []
     cur = t
-    for step in plan.steps:
-        receiver = pick(cur, step.before[step.receiver_rank - 1])
-        donor = pick(cur, step.before[step.donor_rank - 1], exclude=receiver)
+    for step, (before, after) in zip(plan.steps, pairwise(plan.sequences())):
+        receiver = pick(cur, before[step.receiver_rank - 1])
+        donor = pick(cur, before[step.donor_rank - 1], exclude=receiver)
         branch = next(
             b for b in branches_at(cur, donor) if receiver not in b.members
         )
         cur = move_branch(cur, donor, branch.gateway, receiver)
         moves.append((donor, branch.gateway, receiver))
-        if delta_sequence(cur) != step.after:
+        if delta_sequence(cur) != after:
             raise InvalidPlan(f"move left degrees {delta_sequence(cur)}")
     return MoveTrace(initial=t, moves=tuple(moves), final=cur)
 
@@ -268,35 +269,31 @@ class TestReplayChecks:
 
     def test_leaf_donor(self):
         s = delta_sequence(chain(4))
-        step = TransferStep(1, 4, s, DeltaSequence([3, 2, 1, 1]))
-        plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (step,))
+        plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (TransferStep(1, 4),))
         with pytest.raises(DonorIsLeaf):
             replay_plan_on_tree(chain(4), plan)
 
     def test_receiver_below_donor(self):
         s = delta_sequence(chain(5))
-        step = TransferStep(4, 1, s, s)
-        plan = TransferPlan(s, s, (step,))
+        plan = TransferPlan(s, s, (TransferStep(4, 1),))
         with pytest.raises(DegreeRuleViolation):
             replay_plan_on_tree(chain(5), plan)
 
-    def test_tampered_after(self):
-        plan = plan_transfers(
-            DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
-            DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
-        )
-        steps = list(plan.steps)
-        steps[1] = dataclasses.replace(steps[1], after=steps[2].after)
-        tampered = dataclasses.replace(plan, steps=tuple(steps))
+    def test_receiver_rank_after_donor_rank(self):
+        # equal values, so only the rank order is wrong; replay agrees
+        s = delta_sequence(chain(4))
+        plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (TransferStep(2, 1),))
         with pytest.raises(InvalidPlan):
-            replay_plan_on_tree(chain(8), tampered)
+            replay_plan_on_tree(chain(4), plan)
+        with pytest.raises(InvalidPlan):
+            replay(plan)
 
-    def test_no_node_of_required_degree(self):
-        s = delta_sequence(chain(5))
-        step = TransferStep(1, 2, DeltaSequence([3, 2, 1, 1, 1]), s)
-        plan = TransferPlan(s, s, (step,))
+    @pytest.mark.parametrize("i, j", [(1, 5), (0, 2), (5, 1)])
+    def test_rank_out_of_range(self, i, j):
+        s = delta_sequence(chain(4))
+        plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (TransferStep(i, j),))
         with pytest.raises(InvalidPlan):
-            replay_plan_on_tree(chain(5), plan)
+            replay_plan_on_tree(chain(4), plan)
 
 
 class TestRealizeLargeN:

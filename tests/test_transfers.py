@@ -1,6 +1,10 @@
 """Basic transfers, plan construction, replay, serialization."""
 
+import json
+from itertools import pairwise
+
 import pytest
+from hypothesis import given, strategies as st
 
 from treemajor import (
     ComparisonResult,
@@ -69,15 +73,16 @@ class TestPlanTransfers:
             DeltaSequence([5, 3, 1, 1, 1, 1, 1, 1]),
         )
         assert len(plan.steps) == 2
-        assert plan.steps[0].after.values == (4, 3, 2, 1, 1, 1, 1, 1)
-        assert plan.steps[1].after.values == (5, 3, 1, 1, 1, 1, 1, 1)
+        _, first, second = plan.sequences()
+        assert first.values == (4, 3, 2, 1, 1, 1, 1, 1)
+        assert second.values == (5, 3, 1, 1, 1, 1, 1, 1)
 
     def test_three_step_golden_from_chain_delta(self):
         plan = plan_transfers(
             DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
             DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
         )
-        intermediates = [st.after.values for st in plan.steps]
+        intermediates = [s.values for s in plan.sequences()][1:]
         assert intermediates == [
             (3, 2, 2, 2, 2, 1, 1, 1),
             (4, 2, 2, 2, 1, 1, 1, 1),
@@ -122,61 +127,50 @@ class TestPlanTransfers:
                 assert replay(plan) == y
                 assert len(plan.steps) <= majorization_gap(x, y)
                 gap = majorization_gap(x, y)
-                for step in plan.steps:
+                for before, after in pairwise(plan.sequences()):
                     # every step climbs strictly and shrinks the gap
-                    assert compare(step.before, step.after) is (
+                    assert compare(before, after) is (
                         ComparisonResult.STRICTLY_BELOW
                     )
-                    assert step.after.tree_feasible
-                    nxt = majorization_gap(step.after, y)
+                    assert after.tree_feasible
+                    nxt = majorization_gap(after, y)
                     assert nxt < gap
                     gap = nxt
 
 
+def _load(data):
+    """A plan read back from JSON text, as a plan from outside arrives."""
+    return plan_from_dict(json.loads(json.dumps(data)))
+
+
 class TestReplayValidation:
+    """A plan holds only ranks; the sequences a serialized plan records
+    are checked against them when it is loaded."""
+
     def test_single_hand_built_step(self):
         plan = TransferPlan(
             source=DeltaSequence([2, 2, 1, 1]),
             target=DeltaSequence([3, 1, 1, 1]),
-            steps=(
-                TransferStep(
-                    receiver_rank=1,
-                    donor_rank=2,
-                    before=DeltaSequence([2, 2, 1, 1]),
-                    after=DeltaSequence([3, 1, 1, 1]),
-                ),
-            ),
+            steps=(TransferStep(receiver_rank=1, donor_rank=2),),
         )
         assert replay(plan).values == (3, 1, 1, 1)
 
     def test_rejects_wrong_snapshot(self):
-        plan = TransferPlan(
-            source=DeltaSequence([2, 2, 1, 1]),
-            target=DeltaSequence([3, 1, 1, 1]),
-            steps=(
-                TransferStep(
-                    receiver_rank=1,
-                    donor_rank=2,
-                    before=DeltaSequence([2, 2, 2]),
-                    after=DeltaSequence([3, 1, 1, 1]),
-                ),
-            ),
+        data = plan_to_dict(
+            plan_transfers(
+                DeltaSequence([2, 2, 2, 1, 1]), DeltaSequence([3, 2, 1, 1, 1])
+            )
         )
-        with pytest.raises(InvalidPlan):
-            replay(plan)
+        for before in ([3, 2, 1, 1, 1], [2, 2, 2]):
+            data["steps"][0]["before"] = before
+            with pytest.raises(InvalidPlan):
+                replay(_load(data))
 
     def test_rejects_receiver_after_donor(self):
         plan = TransferPlan(
             source=DeltaSequence([2, 2, 1, 1]),
             target=DeltaSequence([2, 2, 1, 1]),
-            steps=(
-                TransferStep(
-                    receiver_rank=2,
-                    donor_rank=1,
-                    before=DeltaSequence([2, 2, 1, 1]),
-                    after=DeltaSequence([3, 1, 1, 1]),
-                ),
-            ),
+            steps=(TransferStep(receiver_rank=2, donor_rank=1),),
         )
         with pytest.raises(InvalidPlan):
             replay(plan)
@@ -185,33 +179,69 @@ class TestReplayValidation:
         plan = TransferPlan(
             source=DeltaSequence([2, 1, 1]),
             target=DeltaSequence([3, 1]),
-            steps=(
-                TransferStep(
-                    receiver_rank=1,
-                    donor_rank=3,
-                    before=DeltaSequence([2, 1, 1]),
-                    after=DeltaSequence([3, 1]),
-                ),
-            ),
+            steps=(TransferStep(receiver_rank=1, donor_rank=3),),
         )
         with pytest.raises(InvalidPlan):
             replay(plan)
 
     def test_rejects_mismatched_after(self):
+        data = plan_to_dict(
+            plan_transfers(
+                DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
+                DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
+            )
+        )
+        data["steps"][1]["after"] = data["steps"][2]["after"]
+        with pytest.raises(InvalidPlan):
+            replay(_load(data))
+
+    def test_rejects_walk_missing_target(self):
         plan = TransferPlan(
-            source=DeltaSequence([2, 2, 1, 1]),
-            target=DeltaSequence([3, 1, 1, 1]),
-            steps=(
-                TransferStep(
-                    receiver_rank=1,
-                    donor_rank=2,
-                    before=DeltaSequence([2, 2, 1, 1]),
-                    after=DeltaSequence([2, 2, 1, 1]),
-                ),
-            ),
+            source=DeltaSequence([2, 2, 2, 1, 1]),
+            target=DeltaSequence([4, 1, 1, 1, 1]),
+            steps=(TransferStep(receiver_rank=1, donor_rank=3),),
         )
         with pytest.raises(InvalidPlan):
             replay(plan)
+
+
+class TestSequences:
+    def test_source_then_one_sequence_per_step(self):
+        source = DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1])
+        target = DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1])
+        plan = plan_transfers(source, target)
+        seqs = list(plan.sequences())
+        assert len(seqs) == len(plan) + 1
+        assert seqs[0] is source and seqs[-1] == target
+
+    def test_bad_step_raises_when_reached(self):
+        plan = TransferPlan(
+            source=DeltaSequence([2, 1, 1]),
+            target=DeltaSequence([2, 1, 1]),
+            steps=(TransferStep(receiver_rank=1, donor_rank=3),),
+        )
+        walk = plan.sequences()
+        assert next(walk) == plan.source
+        with pytest.raises(DonorWouldVanish):
+            next(walk)
+
+    @given(values=st.lists(st.integers(1, 6), max_size=11), data=st.data())
+    def test_in_place_transfer_matches_resort(self, values, data):
+        s = DeltaSequence(values + [2, 1])
+        n = len(s)
+        j = data.draw(st.sampled_from([k + 1 for k in range(n) if s[k] >= 2]))
+        i = data.draw(st.integers(1, n).filter(lambda i: i != j))
+        vals = list(s.values)
+        vals[i - 1] += 1
+        vals[j - 1] -= 1
+        assert basic_transfer(s, i, j).values == tuple(sorted(vals, reverse=True))
+
+    def test_chain_to_star_at_ten_thousand(self):
+        n = 10_000
+        star = DeltaSequence([n - 1] + [1] * (n - 1))
+        plan = plan_transfers(DeltaSequence([2] * (n - 2) + [1, 1]), star)
+        assert len(plan.steps) == n - 3
+        assert replay(plan) == star
 
 
 class TestSerialization:
@@ -234,7 +264,7 @@ class TestSerialization:
             DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
             DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
         )
-        assert plan_from_dict(plan_to_dict(plan)) == plan
+        assert _load(plan_to_dict(plan)) == plan
 
     @pytest.mark.parametrize("field, value", [("target", [3.9, 1, 1, 1]), ("i", 1.0)])
     def test_dict_rejects_non_int(self, field, value):
@@ -247,3 +277,18 @@ class TestSerialization:
             data[field] = value
         with pytest.raises(TypeError):
             plan_from_dict(data)
+
+    # step 2 is (1, 4) on 3,2,2,2,2,1,1,1: a different receiver value, a
+    # rank out of range, equal ranks and a leaf donor
+    @pytest.mark.parametrize("i, j", [(2, 4), (1, 9), (0, 4), (4, 4), (1, 7)])
+    def test_dict_rejects_tampered_rank(self, i, j):
+        data = plan_to_dict(
+            plan_transfers(
+                DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
+                DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
+            )
+        )
+        assert (data["steps"][1]["i"], data["steps"][1]["j"]) == (1, 4)
+        data["steps"][1]["i"], data["steps"][1]["j"] = i, j
+        with pytest.raises(InvalidPlan):
+            _load(data)
