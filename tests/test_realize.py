@@ -28,6 +28,8 @@ from treemajor import (
     is_isomorphic,
     move_branch,
     parse_trace,
+    plan_from_dict,
+    plan_to_dict,
     plan_transfers,
     realize_direct,
     realize_from_chain,
@@ -294,6 +296,29 @@ class TestReplayChecks:
         plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (TransferStep(i, j),))
         with pytest.raises(InvalidPlan):
             replay_plan_on_tree(chain(4), plan)
+
+    # A step holds only ranks, so a tampered sequence can only arrive in a
+    # serialized plan; it is rejected before a tree is touched.
+    def test_tampered_after(self):
+        data = plan_to_dict(
+            plan_transfers(
+                DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
+                DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
+            )
+        )
+        data["steps"][1]["after"] = data["steps"][2]["after"]
+        with pytest.raises(InvalidPlan):
+            replay_plan_on_tree(chain(8), plan_from_dict(data))
+
+    def test_no_node_of_required_degree(self):
+        # chain(5) has no node of degree 3, yet the step claims one
+        s = delta_sequence(chain(5))
+        data = plan_to_dict(TransferPlan(s, s, ()))
+        data["steps"] = [
+            {"i": 1, "j": 2, "before": [3, 2, 1, 1, 1], "after": list(s.values)}
+        ]
+        with pytest.raises(InvalidPlan):
+            replay_plan_on_tree(chain(5), plan_from_dict(data))
 
 
 class TestRealizeLargeN:
