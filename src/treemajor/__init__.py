@@ -53,6 +53,7 @@ from .trees import (
     CanonicalCode,
     Graph,
     Tree,
+    apply_moves,
     branch_members,
     branches_at,
     canonical_code,
@@ -74,7 +75,6 @@ from .trees import (
 )
 from .realize import (
     MoveTrace,
-    apply_moves,
     format_trace,
     parse_trace,
     realize_direct,

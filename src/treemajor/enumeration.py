@@ -47,9 +47,6 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
     rule finds the last level > 1, truncates there, and tiles the tail with
     the segment starting at that node's parent.
     """
-    if n == 1:
-        yield [0]
-        return
     seq = list(range(n))  # the path, lexicographically largest
     while True:
         yield seq
@@ -106,28 +103,31 @@ def enumerate_trees(n: int) -> list[Tree]:
     return out
 
 
-def tree_from_prufer(seq: Sequence[int]) -> Tree:
-    """Decode a Prufer sequence over labels 0..n-1 into the labeled tree on
-    n = len(seq) + 2 nodes.  The decoding is the standard bijection."""
-    n = len(seq) + 2
+def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    # the standard bijection; labels must already lie in 0..n-1
     degree = [1] * n
     for x in seq:
-        if not (0 <= x < n):
-            raise ValueError(f"label {x} outside 0..{n - 1}")
         degree[x] += 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Tree(n, edges)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return edges
+
+
+def tree_from_prufer(seq: Sequence[int]) -> Tree:
+    """Decode a Prufer sequence over labels 0..n-1 into the labeled tree on
+    n = len(seq) + 2 nodes.  The decoding is the standard bijection."""
+    n = len(seq) + 2
+    for x in seq:
+        if not (0 <= x < n):
+            raise ValueError(f"label {x} outside 0..{n - 1}")
+    return Tree(n, _prufer_edges(seq, n))
 
 
 def enumerate_trees_bruteforce(n: int) -> list[Tree]:
@@ -138,31 +138,14 @@ def enumerate_trees_bruteforce(n: int) -> list[Tree]:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return [Tree(1, [])]
-    if n == 2:
-        return [Tree(2, [(0, 1)])]
     reps: dict[str, Tree] = {}
     for seq in product(range(n), repeat=n - 2):
-        # decode straight to adjacency; Tree construction only for new codes
-        degree = [1] * n
-        for x in seq:
-            degree[x] += 1
-        leaves = [v for v in range(n) if degree[v] == 1]
-        heapq.heapify(leaves)
+        # code the plain adjacency; Tree construction only for new codes
+        edges = _prufer_edges(seq, n)
         adj: list[list[int]] = [[] for _ in range(n)]
-        edges = []
-        for x in seq:
-            leaf = heapq.heappop(leaves)
-            adj[leaf].append(x)
-            adj[x].append(leaf)
-            edges.append((leaf, x))
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        adj[u].append(v)
-        adj[v].append(u)
-        edges.append((u, v))
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         code = _free_code_adj(n, adj)
         if code not in reps:
             reps[code] = Tree(n, edges)

@@ -24,7 +24,9 @@ from .trees import (
     chain,
     delta_sequence,
     format_tree,
-    move_branch,
+    freeze_tree,
+    move_edge,
+    neighbor_toward,
     parse_tree,
     tree_from_dict,
     tree_to_dict,
@@ -32,7 +34,6 @@ from .trees import (
 
 __all__ = [
     "MoveTrace",
-    "apply_moves",
     "realize_from_chain",
     "realize_direct",
     "replay_plan_on_tree",
@@ -55,14 +56,6 @@ class MoveTrace:
 
     def __len__(self) -> int:
         return len(self.moves)
-
-
-def apply_moves(t: Tree, moves) -> Tree:
-    """Apply (donor, gateway, target) triples in order under the degree rule."""
-    cur = t
-    for donor, gateway, target in moves:
-        cur = move_branch(cur, donor, gateway, target)
-    return cur
 
 
 def realize_from_chain(target: DeltaSequence) -> MoveTrace:
@@ -117,10 +110,10 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     after each move is the plan's next sequence.
 
     The moves run on a working adjacency (neighbour sets, degree -> heap of
-    labels, and the descending degree list), and the result is frozen into
-    one validated ``Tree`` at the end.  A step raises what
-    :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation), or
-    InvalidPlan for ranks outside 1..n or not in receiver-donor order.
+    labels, the descending degree list) with :func:`move_branch`'s search and
+    edge swap; one ``Tree`` is frozen at the end, not re-validated.  A step
+    raises what :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation),
+    or InvalidPlan for ranks outside 1..n or not in receiver-donor order.
     """
     source = delta_sequence(t)
     if source != plan.source:
@@ -152,29 +145,13 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
         # The donor's neighbour on its path to the receiver heads the one
         # branch that holds the receiver; the smallest other neighbour is
         # the gateway of the branch that moves.
-        toward = receiver if donor in nbrs[receiver] else -1
-        seen = {receiver}
-        stack = [receiver]
-        while toward < 0:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if w == donor:
-                    toward = u
-                    break
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        gateway = min(nbrs[donor] - {toward})
-        nbrs[donor].remove(gateway)
-        nbrs[gateway].remove(donor)
-        nbrs[gateway].add(receiver)
-        nbrs[receiver].add(gateway)
+        gateway = min(nbrs[donor] - {neighbor_toward(nbrs, donor, receiver)})
+        move_edge(nbrs, donor, gateway, receiver)
         heappush(by_degree.setdefault(receiver_value + 1, []), receiver)
         heappush(by_degree.setdefault(donor_value - 1, []), donor)
         transfer_in_place(degrees, i, j)
         moves.append((donor, gateway, receiver))
-    final = Tree(t.n, [(u, w) for u in range(t.n) for w in nbrs[u] if u < w])
-    return MoveTrace(initial=t, moves=tuple(moves), final=final)
+    return MoveTrace(initial=t, moves=tuple(moves), final=freeze_tree(nbrs))
 
 
 def format_trace(trace: MoveTrace) -> str:
@@ -229,11 +206,11 @@ def trace_to_dict(trace: MoveTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> MoveTrace:
-    moves = tuple((d, g, r) for d, g, r in data["moves"])
+    try:
+        moves = tuple((d, g, r) for d, g, r in data["moves"])
+        initial, final = data["initial"], data["final"]
+    except KeyError as exc:
+        raise ParseError(f"trace dict lacks field {exc}") from None
     if any(type(label) is not int for mv in moves for label in mv):
         raise TypeError(f"move labels must be ints, got {moves!r}")
-    return MoveTrace(
-        initial=tree_from_dict(data["initial"]),
-        moves=moves,
-        final=tree_from_dict(data["final"]),
-    )
+    return MoveTrace(initial=tree_from_dict(initial), moves=moves, final=tree_from_dict(final))

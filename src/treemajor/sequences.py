@@ -185,14 +185,8 @@ def majorization_gap(lower: DeltaSequence, upper: DeltaSequence) -> int:
 def lorenz_curve(s: DeltaSequence, normalized: bool = True) -> LorenzCurve:
     """Lorenz curve of ``s`` with n+1 exact rational vertices."""
     acc = (0,) + prefix_sums(s)
-    n = len(s)
-    if normalized:
-        total = s.total
-        pts = tuple(
-            (Fraction(k, n), Fraction(acc[k], total)) for k in range(n + 1)
-        )
-    else:
-        pts = tuple((Fraction(k), Fraction(acc[k])) for k in range(n + 1))
+    x_unit, y_unit = (len(s), s.total) if normalized else (1, 1)
+    pts = tuple((Fraction(k, x_unit), Fraction(a, y_unit)) for k, a in enumerate(acc))
     return LorenzCurve(points=pts, normalized=normalized)
 
 

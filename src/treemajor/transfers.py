@@ -20,6 +20,7 @@ from .errors import (
     InvalidPlan,
     LengthMismatch,
     NotMajorized,
+    ParseError,
     SameRank,
     TreeMajorError,
 )
@@ -188,20 +189,19 @@ def plan_to_dict(plan: TransferPlan) -> dict:
 def plan_from_dict(data: dict) -> TransferPlan:
     """Inverse of :func:`plan_to_dict`.  The ranks define the plan; recorded
     ``before``/``after`` sequences that differ from theirs raise InvalidPlan."""
-    ranks = [(st["i"], st["j"]) for st in data["steps"]]
+    try:
+        source, target, raw_steps = data["source"], data["target"], data["steps"]
+        ranks = [(st["i"], st["j"]) for st in raw_steps]
+        snapshots = [(st["before"], st["after"]) for st in raw_steps]
+    except KeyError as exc:
+        raise ParseError(f"plan dict lacks field {exc}") from None
     if any(type(r) is not int for pair in ranks for r in pair):
         raise TypeError(f"ranks must be ints, got {ranks!r}")
-    plan = TransferPlan(
-        source=DeltaSequence(data["source"]),
-        target=DeltaSequence(data["target"]),
-        steps=tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j in ranks),
-    )
+    steps = tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j in ranks)
+    plan = TransferPlan(source=DeltaSequence(source), target=DeltaSequence(target), steps=steps)
     try:
         walk = list(pairwise(plan.sequences()))
-        recorded = [
-            (DeltaSequence(st["before"]), DeltaSequence(st["after"]))
-            for st in data["steps"]
-        ]
+        recorded = [(DeltaSequence(b), DeltaSequence(a)) for b, a in snapshots]
     except (TreeMajorError, ValueError) as exc:
         raise InvalidPlan(f"recorded steps cannot be checked: {exc}") from exc
     for k, (got, rec) in enumerate(zip(walk, recorded), start=1):

@@ -33,6 +33,7 @@ __all__ = [
     "branches_at",
     "branch_members",
     "move_branch",
+    "apply_moves",
     "legal_moves",
     "canonical_code",
     "is_isomorphic",
@@ -126,9 +127,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degree_sequence(self) -> DeltaSequence:
-        return DeltaSequence(len(self._adj[v]) for v in range(self.n))
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -190,13 +188,13 @@ def star(n: int) -> Tree:
     return Tree(n, [(0, k) for k in range(1, n)])
 
 
-def delta_sequence(t: Tree) -> DeltaSequence:
+def delta_sequence(g: Graph) -> DeltaSequence:
     """Degrees of all nodes, sorted descending.  Defined for n >= 2.
 
     (A single-node tree has degree 0, which a positive degree sequence
     cannot hold.)
     """
-    return DeltaSequence(t.degree(v) for v in range(t.n))
+    return DeltaSequence(g.degree(v) for v in range(g.n))
 
 
 def branch_members(t: Tree, root: int, gateway: int) -> frozenset[int]:
@@ -231,6 +229,67 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
     ]
 
 
+def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
+    """The tree with neighbour sets ``nbrs``, not re-validated: only for the
+    working adjacency of a valid tree changed by branch moves."""
+    n = len(nbrs)
+    t = Tree.__new__(Tree)
+    t.n = n
+    t.edges = frozenset((u, w) for u in range(n) for w in nbrs[u] if u < w)
+    t._adj = tuple(tuple(sorted(ws)) for ws in nbrs)
+    t._code = None
+    return t
+
+
+def neighbor_toward(nbrs: Sequence[set[int]], node: int, target: int) -> int:
+    """The neighbour of ``node`` on its path to ``target`` (not ``node``),
+    by a search from ``target`` that stops on reaching ``node``."""
+    if node in nbrs[target]:
+        return target
+    seen, stack = {target}, [target]
+    while True:
+        u = stack.pop()
+        for w in nbrs[u]:
+            if w == node:
+                return u
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+
+
+def move_edge(nbrs: Sequence[set[int]], donor: int, gateway: int, target: int) -> None:
+    """Replace edge (donor, gateway) by (target, gateway) in place."""
+    nbrs[donor].remove(gateway)
+    nbrs[gateway].remove(donor)
+    nbrs[gateway].add(target)
+    nbrs[target].add(gateway)
+
+
+def _move_branches(t: Tree, moves, enforce_degree_rule: bool) -> Tree:
+    # the one checked move loop; one tree is frozen after the last move
+    n = t.n
+    nbrs = [set(ws) for ws in t._adj]
+    for donor, gateway, target in moves:
+        if type(donor) is not int or type(gateway) is not int or type(target) is not int:
+            raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
+        if not (0 <= donor < n and gateway in nbrs[donor]):
+            raise ValueError(f"no edge between {donor} and {gateway}")
+        if len(nbrs[donor]) < 2:
+            raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
+        if target == donor:
+            raise ValueError("target must differ from donor")
+        if not (0 <= target < n):
+            raise ValueError(f"node {target} outside labels 0..{n - 1}")
+        if neighbor_toward(nbrs, donor, target) == gateway:
+            raise WouldDisconnect(f"target {target} lies inside the branch being moved")
+        if enforce_degree_rule and len(nbrs[target]) < len(nbrs[donor]):
+            raise DegreeRuleViolation(
+                f"target degree {len(nbrs[target])} < donor degree {len(nbrs[donor])}"
+            )
+        move_edge(nbrs, donor, gateway, target)
+    return freeze_tree(nbrs)
+
+
 def move_branch(
     t: Tree,
     donor: int,
@@ -248,31 +307,16 @@ def move_branch(
     donor's, which makes the resulting degree sequence strictly dominate the
     old one.  Labels must be ints (TypeError otherwise).
     """
-    if type(donor) is not int or type(gateway) is not int or type(target) is not int:
-        raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
-    members = branch_members(t, donor, gateway)  # also validates the edge
-    if t.degree(donor) < 2:
-        raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
-    if target == donor:
-        raise ValueError("target must differ from donor")
-    if not (0 <= target < t.n):
-        raise ValueError(f"node {target} outside labels 0..{t.n - 1}")
-    if target in members:
-        raise WouldDisconnect(
-            f"target {target} lies inside the branch being moved"
-        )
-    if enforce_degree_rule and t.degree(target) < t.degree(donor):
-        raise DegreeRuleViolation(
-            f"target degree {t.degree(target)} < donor degree {t.degree(donor)}"
-        )
-    old = (donor, gateway) if donor < gateway else (gateway, donor)
-    new = (target, gateway) if target < gateway else (gateway, target)
-    return Tree(t.n, (t.edges - {old}) | {new})
+    return _move_branches(t, [(donor, gateway, target)], enforce_degree_rule)
 
 
-def legal_moves(
-    t: Tree, enforce_degree_rule: bool = True
-) -> list[tuple[int, int, int]]:
+def apply_moves(t: Tree, moves) -> Tree:
+    """Apply (donor, gateway, target) triples in order under the degree
+    rule; each move is checked as :func:`move_branch` checks it."""
+    return _move_branches(t, moves, True)
+
+
+def legal_moves(t: Tree) -> list[tuple[int, int, int]]:
     """All (donor, gateway, target) triples move_branch accepts on ``t``.
 
     Deterministic order: donor, then gateway, then target, all ascending.
@@ -284,9 +328,7 @@ def legal_moves(
         for gw in t.neighbors(donor):
             members = branch_members(t, donor, gw)
             for target in range(t.n):
-                if target == donor or target in members:
-                    continue
-                if enforce_degree_rule and t.degree(target) < t.degree(donor):
+                if target == donor or target in members or t.degree(target) < t.degree(donor):
                     continue
                 moves.append((donor, gw, target))
     return moves
@@ -323,8 +365,6 @@ def centroids(t: Tree) -> tuple[int, ...]:
     """The one or two nodes minimizing the largest component left by their
     removal."""
     n = t.n
-    if n == 1:
-        return (0,)
     size = [1] * n
     parent = [-1] * n
     order = []
@@ -467,7 +507,10 @@ def tree_to_dict(t: Tree) -> dict:
 
 
 def tree_from_dict(data: dict) -> Tree:
-    return Tree(data["n"], data["edges"])
+    try:
+        return Tree(data["n"], data["edges"])
+    except KeyError as exc:
+        raise ParseError(f"tree dict lacks field {exc}") from None
 
 
 def tree_to_dot(t: Tree, name: str = "tree") -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BoundExceeded, NotMajorized, TreeMajorError
-from .realize import MoveTrace, apply_moves
+from .realize import MoveTrace
 from .sequences import (
     CONVEX_TEST_FAMILY,
     ComparisonResult,
@@ -30,6 +30,7 @@ from .trees import (
     CanonicalCode,
     Graph,
     Tree,
+    apply_moves,
     canonical_code,
     chain,
     complete_graph,
@@ -347,7 +348,7 @@ def verify_chain_minimality(n: int, sample_graphs: list[Graph]) -> bool:
             raise ValueError(f"sample graph has {g.n} nodes, expected {n}")
         if _is_path_graph(g):
             raise ValueError("sample graphs must not be chains")
-        if compare(chain_delta, g.degree_sequence()) is not ComparisonResult.STRICTLY_BELOW:
+        if compare(chain_delta, delta_sequence(g)) is not ComparisonResult.STRICTLY_BELOW:
             return False
     return True
 

@@ -9,6 +9,7 @@ from treemajor import (
     CONVEX_TEST_FAMILY,
     ComparisonResult,
     DeltaSequence,
+    Tree,
     canonical_code,
     chain,
     check_certificate,
@@ -190,12 +191,13 @@ def test_12_thousand_random_rule_moves_strictly_raise():
     while applied < 1000:
         n = sizes[applied % len(sizes)]
         t = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
-        moves = legal_moves(t, enforce_degree_rule=True)
+        moves = legal_moves(t)
         if not moves:
             continue
         mv = rng.choice(moves)
-        out = move_branch(t, *mv)  # constructor re-validates tree shape
+        out = move_branch(t, *mv)  # frozen without re-validation
         assert out.n == n and len(out.edges) == n - 1
+        assert Tree(n, sorted(out.edges)) == out  # the validating constructor accepts it
         assert compare(delta_sequence(t), delta_sequence(out)) is (
             ComparisonResult.STRICTLY_BELOW
         )

@@ -15,6 +15,7 @@ from treemajor import (
     InvalidPlan,
     MoveTrace,
     NotTreeFeasible,
+    ParseError,
     TransferPlan,
     TransferStep,
     apply_moves,
@@ -45,8 +46,9 @@ from treemajor import (
 
 def _replay_reference(t, plan):
     """Slow reference for replay_plan_on_tree: scan every node for each
-    pick, compute every branch of the donor, and rebuild and re-validate
-    the whole tree on each move."""
+    pick, compute every branch of the donor, and build a new tree with
+    move_branch on each move (itself checked against a re-validating
+    reference in test_trees.py)."""
 
     def pick(cur, degree, exclude=None):
         for v in range(cur.n):
@@ -218,6 +220,14 @@ class TestTraceSerialization:
     def test_dict_round_trip(self):
         trace = realize_from_chain(DeltaSequence([4, 2, 2, 2, 1, 1, 1, 1]))
         assert trace_from_dict(trace_to_dict(trace)) == trace
+
+    def test_dict_missing_field_is_parse_error(self):
+        with pytest.raises(ParseError, match="'final'"):
+            trace_from_dict({"initial": {}, "moves": []})
+        data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))
+        del data["initial"]["n"]
+        with pytest.raises(ParseError, match="'n'"):
+            trace_from_dict(data)
 
     def test_dict_rejects_non_int_move_label(self):
         data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))

@@ -12,6 +12,7 @@ from treemajor import (
     DonorWouldVanish,
     InvalidPlan,
     NotMajorized,
+    ParseError,
     SameRank,
     TransferPlan,
     TransferStep,
@@ -276,6 +277,19 @@ class TestSerialization:
         else:
             data[field] = value
         with pytest.raises(TypeError):
+            plan_from_dict(data)
+
+    def test_dict_missing_field_is_parse_error(self):
+        with pytest.raises(ParseError, match="'steps'"):
+            plan_from_dict({"source": [2, 1, 1], "target": [2, 1, 1]})
+
+    @pytest.mark.parametrize("field", ["i", "j", "before", "after"])
+    def test_dict_step_missing_field_is_parse_error(self, field):
+        data = plan_to_dict(
+            plan_transfers(DeltaSequence([2, 2, 1, 1]), DeltaSequence([3, 1, 1, 1]))
+        )
+        del data["steps"][0][field]
+        with pytest.raises(ParseError, match=repr(field)):
             plan_from_dict(data)
 
     # step 2 is (1, 4) on 3,2,2,2,2,1,1,1: a different receiver value, a

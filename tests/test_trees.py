@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treemajor import (
     ComparisonResult,
@@ -14,6 +15,7 @@ from treemajor import (
     ParseError,
     Tree,
     WouldDisconnect,
+    apply_moves,
     branch_members,
     branches_at,
     canonical_code,
@@ -40,6 +42,48 @@ from treemajor import (
 
 def relabel(t: Tree, perm: dict[int, int]) -> Tree:
     return Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
+
+
+def _move_branch_reference(t, donor, gateway, target, enforce_degree_rule=True):
+    """Oracle for move_branch: the same checks in the same order, with the
+    moved branch found by branch_members and the result rebuilt by the
+    validating Tree constructor."""
+    if type(donor) is not int or type(gateway) is not int or type(target) is not int:
+        raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
+    members = branch_members(t, donor, gateway)  # also checks the edge
+    if t.degree(donor) < 2:
+        raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
+    if target == donor:
+        raise ValueError("target must differ from donor")
+    if not (0 <= target < t.n):
+        raise ValueError(f"node {target} outside labels 0..{t.n - 1}")
+    if target in members:
+        raise WouldDisconnect(f"target {target} lies inside the branch being moved")
+    if enforce_degree_rule and t.degree(target) < t.degree(donor):
+        raise DegreeRuleViolation(
+            f"target degree {t.degree(target)} < donor degree {t.degree(donor)}"
+        )
+    old = (donor, gateway) if donor < gateway else (gateway, donor)
+    new = (target, gateway) if target < gateway else (gateway, target)
+    return Tree(t.n, (t.edges - {old}) | {new})
+
+
+def _outcome(move, t, *args):
+    """The tree a move returns, or the type and message of what it raises."""
+    try:
+        return move(t, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_tree(got: Tree, want: Tree) -> None:
+    assert type(got) is Tree
+    assert got == want
+    assert [got.neighbors(v) for v in range(got.n)] == [
+        want.neighbors(v) for v in range(want.n)
+    ]
+    assert canonical_code(got) == canonical_code(want)
+    assert Tree(got.n, sorted(got.edges)) == got  # the frozen tree is valid
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -196,12 +240,84 @@ class TestMoveBranch:
     def test_rule_moves_strictly_raise_delta(self, n):
         for t in enumerate_trees(n):
             before = delta_sequence(t)
-            for mv in legal_moves(t, enforce_degree_rule=True):
+            for mv in legal_moves(t):
                 out = move_branch(t, *mv)
                 assert len(out.edges) == n - 1
                 assert compare(before, delta_sequence(out)) is (
                     ComparisonResult.STRICTLY_BELOW
                 )
+
+
+class TestMovePathAgainstReference:
+    """move_branch and apply_moves run one checked loop on a working
+    adjacency and freeze the result without re-validating it; the oracle
+    rebuilds and re-validates the whole tree on every move."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_label_triple_on_every_class(self, n):
+        labels = range(-1, n + 1)  # in range, plus one below and one above
+        for t in enumerate_trees(n):
+            for mv in itertools.product(labels, repeat=3):
+                for rule in (False, True):
+                    want = _outcome(_move_branch_reference, t, *mv, rule)
+                    got = _outcome(move_branch, t, *mv, rule)
+                    if isinstance(want, Tree):
+                        _assert_same_tree(got, want)
+                    else:
+                        assert got == want, (t, mv, rule)
+
+    @pytest.mark.parametrize("mv", [(1, 2, 3.0), (True, 2, 3), (1, "2", 3)])
+    def test_non_int_labels(self, mv):
+        t = star(5)
+        assert _outcome(move_branch, t, *mv) == _outcome(_move_branch_reference, t, *mv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_apply_moves_folds_the_reference(self, data):
+        n = data.draw(st.integers(2, 60), label="n")
+        hubs = data.draw(st.integers(1, n), label="hubs")
+        seq = data.draw(st.lists(st.integers(0, hubs - 1), min_size=n - 2, max_size=n - 2))
+        t = tree_from_prufer(seq)
+        cur, moves = t, []
+        for _ in range(data.draw(st.integers(0, 15), label="length")):
+            legal = legal_moves(cur)
+            if not legal:
+                break
+            mv = data.draw(st.sampled_from(legal))
+            nxt = _move_branch_reference(cur, *mv)
+            _assert_same_tree(move_branch(cur, *mv), nxt)
+            cur = nxt
+            moves.append(mv)
+        _assert_same_tree(apply_moves(t, moves), cur)
+
+    def test_apply_moves_skips_the_validating_constructor(self, monkeypatch):
+        t = chain(8)
+        moves = [(6, 7, 5), (4, 5, 3), (2, 3, 1)]
+        want = apply_moves(t, moves)
+
+        def refuse(self, n, edges):
+            raise AssertionError("validating constructor called")
+
+        monkeypatch.setattr(Tree, "__init__", refuse)
+        assert apply_moves(t, moves) == want
+        assert move_branch(t, *moves[0]) == apply_moves(t, moves[:1])
+
+    @pytest.mark.parametrize(
+        "t", [chain(6), star(5), Tree(6, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])]
+    )
+    def test_apply_moves_checks_each_move_as_move_branch_does(self, t):
+        labels = range(-1, t.n + 1)
+        for mv in itertools.product(labels, repeat=3):
+            want = _outcome(_move_branch_reference, t, *mv)
+            got = _outcome(apply_moves, t, [mv])
+            if isinstance(want, Tree):
+                _assert_same_tree(got, want)
+            else:
+                assert got == want, mv
+
+    def test_apply_moves_rejects_a_short_move(self):
+        with pytest.raises(ValueError):
+            apply_moves(chain(4), [(1, 2)])
 
 
 class TestCanonicalCode:
@@ -266,8 +382,8 @@ class TestGraphs:
             Graph(4, [(0, 1), (2, 3)])
 
     def test_degree_sequence(self):
-        assert complete_graph(4).degree_sequence().values == (3, 3, 3, 3)
-        assert cycle_graph(5).degree_sequence().values == (2, 2, 2, 2, 2)
+        assert delta_sequence(complete_graph(4)).values == (3, 3, 3, 3)
+        assert delta_sequence(cycle_graph(5)).values == (2, 2, 2, 2, 2)
 
 
 class TestTreeText:
@@ -278,6 +394,13 @@ class TestTreeText:
     def test_dict_round_trip(self):
         t = star(5)
         assert tree_from_dict(tree_to_dict(t)) == t
+
+    @pytest.mark.parametrize("field", ["n", "edges"])
+    def test_dict_missing_field_is_parse_error(self, field):
+        data = tree_to_dict(chain(3))
+        del data[field]
+        with pytest.raises(ParseError, match=repr(field)):
+            tree_from_dict(data)
 
     def test_dict_rejects_float_label(self):
         with pytest.raises(TypeError):
