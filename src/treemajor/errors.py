@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all treemajor modules."""
+"""Exception hierarchy shared by all treemajor modules, and the shape checks
+that the dict readers (trees, traces, plans) share."""
 
 
 class TreeMajorError(Exception):
@@ -55,3 +56,27 @@ class NotConnected(TreeMajorError):
 
 class BoundExceeded(TreeMajorError):
     """A node count beyond the supported bound of an exhaustive operation."""
+
+
+def dict_fields(data, what: str, *names: str) -> tuple:
+    """The values of ``names`` in the object ``data`` read as a ``what``;
+    ParseError if it is not a dict or lacks one of them."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be an object, got {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise ParseError(f"{what} dict lacks field {name!r}")
+    return tuple(data[name] for name in names)
+
+
+def list_of(value, what: str, width: int | None = None):
+    """``value``, checked to be a list (or tuple) whose items are, when
+    ``width`` is given, lists (or tuples) of ``width`` items each;
+    ParseError otherwise."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
+    if width is not None:
+        for item in value:
+            if not isinstance(item, (list, tuple)) or len(item) != width:
+                raise ParseError(f"{what} must hold lists of {width} items, got {item!r}")
+    return value

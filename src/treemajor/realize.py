@@ -16,6 +16,8 @@ from .errors import (
     InvalidPlan,
     NotTreeFeasible,
     ParseError,
+    dict_fields,
+    list_of,
 )
 from .sequences import DeltaSequence, validate_tree_sequence
 from .transfers import TransferPlan, plan_transfers, transfer_in_place
@@ -206,11 +208,8 @@ def trace_to_dict(trace: MoveTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> MoveTrace:
-    try:
-        moves = tuple((d, g, r) for d, g, r in data["moves"])
-        initial, final = data["initial"], data["final"]
-    except KeyError as exc:
-        raise ParseError(f"trace dict lacks field {exc}") from None
+    initial, raw_moves, final = dict_fields(data, "trace", "initial", "moves", "final")
+    moves = tuple(map(tuple, list_of(raw_moves, "trace moves", 3)))
     if any(type(label) is not int for mv in moves for label in mv):
         raise TypeError(f"move labels must be ints, got {moves!r}")
     return MoveTrace(initial=tree_from_dict(initial), moves=moves, final=tree_from_dict(final))

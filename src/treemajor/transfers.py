@@ -20,9 +20,10 @@ from .errors import (
     InvalidPlan,
     LengthMismatch,
     NotMajorized,
-    ParseError,
     SameRank,
     TreeMajorError,
+    dict_fields,
+    list_of,
 )
 from .sequences import ComparisonResult, DeltaSequence, compare
 
@@ -189,16 +190,19 @@ def plan_to_dict(plan: TransferPlan) -> dict:
 def plan_from_dict(data: dict) -> TransferPlan:
     """Inverse of :func:`plan_to_dict`.  The ranks define the plan; recorded
     ``before``/``after`` sequences that differ from theirs raise InvalidPlan."""
-    try:
-        source, target, raw_steps = data["source"], data["target"], data["steps"]
-        ranks = [(st["i"], st["j"]) for st in raw_steps]
-        snapshots = [(st["before"], st["after"]) for st in raw_steps]
-    except KeyError as exc:
-        raise ParseError(f"plan dict lacks field {exc}") from None
+    source, target, raw_steps = dict_fields(data, "plan", "source", "target", "steps")
+    fields = [dict_fields(st, "plan step", "i", "j", "before", "after")
+              for st in list_of(raw_steps, "plan steps")]
+    ranks = [(i, j) for i, j, _, _ in fields]
+    snapshots = [(list_of(b, "step before"), list_of(a, "step after")) for _, _, b, a in fields]
     if any(type(r) is not int for pair in ranks for r in pair):
         raise TypeError(f"ranks must be ints, got {ranks!r}")
     steps = tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j in ranks)
-    plan = TransferPlan(source=DeltaSequence(source), target=DeltaSequence(target), steps=steps)
+    plan = TransferPlan(
+        source=DeltaSequence(list_of(source, "plan source")),
+        target=DeltaSequence(list_of(target, "plan target")),
+        steps=steps,
+    )
     try:
         walk = list(pairwise(plan.sequences()))
         recorded = [(DeltaSequence(b), DeltaSequence(a)) for b, a in snapshots]

@@ -11,7 +11,7 @@ strictly up the majorization order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeRuleViolation,
@@ -19,6 +19,8 @@ from .errors import (
     NotConnected,
     ParseError,
     WouldDisconnect,
+    dict_fields,
+    list_of,
 )
 from .sequences import DeltaSequence
 
@@ -321,17 +323,40 @@ def legal_moves(t: Tree) -> list[tuple[int, int, int]]:
 
     Deterministic order: donor, then gateway, then target, all ascending.
     """
+    n, adj = t.n, t._adj
+    deg = [len(ws) for ws in adj]
     moves = []
-    for donor in range(t.n):
-        if t.degree(donor) < 2:
+    for donor in range(n):
+        if deg[donor] < 2:
             continue
-        for gw in t.neighbors(donor):
-            members = branch_members(t, donor, gw)
-            for target in range(t.n):
-                if target == donor or target in members or t.degree(target) < t.degree(donor):
-                    continue
-                moves.append((donor, gw, target))
+        # one search from the donor labels each node with the gateway whose
+        # branch holds it
+        side = [-1] * n
+        side[donor] = donor
+        order = list(adj[donor])
+        for gw in order:
+            side[gw] = gw
+        for u in order:
+            for w in adj[u]:
+                if side[w] < 0:
+                    side[w] = side[u]
+                    order.append(w)
+        targets = [v for v in range(n) if v != donor and deg[v] >= deg[donor]]
+        for gw in adj[donor]:
+            moves.extend((donor, gw, target) for target in targets if side[target] != gw)
     return moves
+
+
+def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode, list[set[int]]]]:
+    """(move, code, nbrs) for each of :func:`legal_moves`, in its order:
+    ``code`` is the canonical code of the moved tree and ``nbrs`` its
+    neighbour sets, valid only until the next step.  Each move is made on
+    one working adjacency, coded and undone, with no tree built."""
+    nbrs = [set(ws) for ws in t._adj]
+    for donor, gw, target in legal_moves(t):
+        move_edge(nbrs, donor, gw, target)
+        yield (donor, gw, target), _free_code_adj(t.n, nbrs), nbrs
+        move_edge(nbrs, target, gw, donor)
 
 
 def _strip_to_center(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
@@ -397,39 +422,41 @@ def centroids(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def _rooted_code_adj(
-    adj: Sequence[Sequence[int]], root: int, blocked: int | None
-) -> str:
-    # Iterative post-order; children codes are sorted so the encoding is
+def _child_codes(adj: Sequence[Iterable[int]], root: int, blocked: int | None) -> list[list[str]]:
+    # One pass: a BFS order and parents from the root, then, walking that
+    # order backwards, each node's sorted child codes wrapped in parentheses
+    # and appended to its parent's list.  Sorting makes the encoding
     # invariant under sibling order and relabeling.
-    out: dict[tuple[int, int], str] = {}
-    stack: list[tuple[int, int, bool]] = [(root, -1, False)]
-    while stack:
-        v, par, done = stack.pop()
-        kids = [
-            w
-            for w in adj[v]
-            if w != par and not (v == root and w == blocked)
-        ]
-        if not done:
-            stack.append((v, par, True))
-            for w in kids:
-                stack.append((w, v, False))
-        else:
-            parts = sorted(out[(w, v)] for w in kids)
-            out[(v, par)] = "(" + "".join(parts) + ")"
-    return out[(root, -1)]
+    parent = [-1] * len(adj)
+    if blocked is not None:
+        parent[root] = blocked
+    order = [root]
+    for v in order:
+        p = parent[v]
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                order.append(w)
+    kids: list[list[str]] = [[] for _ in adj]
+    for v in order[:0:-1]:
+        codes = kids[v]
+        codes.sort()
+        kids[parent[v]].append("(" + "".join(codes) + ")")
+    kids[root].sort()
+    return kids
 
 
-def _free_code_adj(n: int, adj: Sequence[Sequence[int]]) -> CanonicalCode:
+def _free_code_adj(n: int, adj: Sequence[Iterable[int]]) -> CanonicalCode:
     ctr = _strip_to_center(n, adj)
+    c1 = ctr[0]
+    kids = _child_codes(adj, c1, None)
     if len(ctr) == 1:
-        return "1" + _rooted_code_adj(adj, ctr[0], None)
-    c1, c2 = ctr
-    h1 = _rooted_code_adj(adj, c1, c2)
-    h2 = _rooted_code_adj(adj, c2, c1)
-    lo, hi = (h1, h2) if h1 <= h2 else (h2, h1)
-    return "2" + lo + hi
+        return "1(" + "".join(kids[c1]) + ")"
+    # rooted once at c1: c2's code is one half, c1's other children the other
+    h2 = "(" + "".join(kids[ctr[1]]) + ")"
+    kids[c1].remove(h2)
+    h1 = "(" + "".join(kids[c1]) + ")"
+    return "2" + h1 + h2 if h1 <= h2 else "2" + h2 + h1
 
 
 def rooted_code(t: Tree, root: int, blocked: int | None = None) -> str:
@@ -438,7 +465,7 @@ def rooted_code(t: Tree, root: int, blocked: int | None = None) -> str:
     With ``blocked`` set to a neighbor of the root, that subtree is left out
     (encoding one side of a split edge).
     """
-    return _rooted_code_adj(t._adj, root, blocked)
+    return "(" + "".join(_child_codes(t._adj, root, blocked)[root]) + ")"
 
 
 def canonical_code(t: Tree) -> CanonicalCode:
@@ -507,10 +534,8 @@ def tree_to_dict(t: Tree) -> dict:
 
 
 def tree_from_dict(data: dict) -> Tree:
-    try:
-        return Tree(data["n"], data["edges"])
-    except KeyError as exc:
-        raise ParseError(f"tree dict lacks field {exc}") from None
+    n, edges = dict_fields(data, "tree", "n", "edges")
+    return Tree(n, list_of(edges, "tree edges", 2))
 
 
 def tree_to_dot(t: Tree, name: str = "tree") -> str:

@@ -36,8 +36,9 @@ from .trees import (
     complete_graph,
     cycle_graph,
     delta_sequence,
-    legal_moves,
-    move_branch,
+    freeze_tree,
+    move_branch,  # unused here; treebench/test_bench.py checks verify.move_branch
+    move_codes,
 )
 
 __all__ = [
@@ -132,7 +133,7 @@ def _class_graph(n: int):
 
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
     """Codes of the classes one degree-rule move away from ``t``."""
-    return frozenset(canonical_code(move_branch(t, *mv)) for mv in legal_moves(t))
+    return frozenset(code for _, code, _ in move_codes(t))
 
 
 def _strict_pairs(census: list[DeltaSequence]) -> list[tuple[DeltaSequence, DeltaSequence]]:
@@ -194,11 +195,10 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     while queue and hit is None:
         code = queue.popleft()
         tree = info[code][0]
-        for mv in legal_moves(tree):
-            nxt = move_branch(tree, *mv)
-            nxt_code = canonical_code(nxt)
+        for mv, nxt_code, nbrs in move_codes(tree):
             if nxt_code in info:
                 continue
+            nxt = freeze_tree(nbrs)
             info[nxt_code] = (nxt, code, mv)
             if delta_sequence(nxt) == target_delta:
                 hit = nxt_code

@@ -229,6 +229,27 @@ class TestTraceSerialization:
         with pytest.raises(ParseError, match="'n'"):
             trace_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("moves", [[1, 0]]),
+            ("moves", [[1, 2, 3, 4]]),
+            ("moves", [7]),
+            ("moves", 7),
+            ("final", []),
+        ],
+    )
+    def test_dict_wrong_shape_is_parse_error(self, field, value):
+        data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))
+        data[field] = value
+        with pytest.raises(ParseError):
+            trace_from_dict(data)
+
+    def test_dict_given_as_list_is_parse_error(self):
+        data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))
+        with pytest.raises(ParseError):
+            trace_from_dict(list(data.values()))
+
     def test_dict_rejects_non_int_move_label(self):
         data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))
         data["moves"][0][2] = float(data["moves"][0][2])

@@ -283,6 +283,31 @@ class TestSerialization:
         with pytest.raises(ParseError, match="'steps'"):
             plan_from_dict({"source": [2, 1, 1], "target": [2, 1, 1]})
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda d: d["steps"].__setitem__(0, list(d["steps"][0].values())),
+            lambda d: d.__setitem__("steps", d["steps"][0]),
+            lambda d: d.__setitem__("source", 6),
+            lambda d: d["steps"][0].__setitem__("before", 6),
+        ],
+        ids=["step-as-list", "steps-not-a-list", "source-not-a-list", "before-not-a-list"],
+    )
+    def test_dict_wrong_shape_is_parse_error(self, mangle):
+        data = plan_to_dict(
+            plan_transfers(DeltaSequence([2, 2, 1, 1]), DeltaSequence([3, 1, 1, 1]))
+        )
+        mangle(data)
+        with pytest.raises(ParseError):
+            plan_from_dict(data)
+
+    def test_dict_given_as_list_is_parse_error(self):
+        data = plan_to_dict(
+            plan_transfers(DeltaSequence([2, 2, 1, 1]), DeltaSequence([3, 1, 1, 1]))
+        )
+        with pytest.raises(ParseError):
+            plan_from_dict(list(data.values()))
+
     @pytest.mark.parametrize("field", ["i", "j", "before", "after"])
     def test_dict_step_missing_field_is_parse_error(self, field):
         data = plan_to_dict(

@@ -38,6 +38,7 @@ from treemajor import (
     tree_to_dict,
     tree_to_dot,
 )
+from treemajor.trees import freeze_tree, move_codes, rooted_code
 
 
 def relabel(t: Tree, perm: dict[int, int]) -> Tree:
@@ -84,6 +85,62 @@ def _assert_same_tree(got: Tree, want: Tree) -> None:
     ]
     assert canonical_code(got) == canonical_code(want)
     assert Tree(got.n, sorted(got.edges)) == got  # the frozen tree is valid
+
+
+def _rooted_code_reference(t: Tree, root: int, blocked: int | None = None) -> str:
+    """Oracle for rooted_code: the iterative post-order string coder (Aho,
+    Hopcroft and Ullman), one code per (node, parent) pair."""
+    out = {}
+    stack = [(root, -1, False)]
+    while stack:
+        v, par, done = stack.pop()
+        kids = [w for w in t.neighbors(v) if w != par and not (v == root and w == blocked)]
+        if not done:
+            stack.append((v, par, True))
+            stack.extend((w, v, False) for w in kids)
+        else:
+            out[(v, par)] = "(" + "".join(sorted(out[(w, v)] for w in kids)) + ")"
+    return out[(root, -1)]
+
+
+def _canonical_code_reference(t: Tree) -> str:
+    """Oracle for canonical_code: rooted at the centre, and for two central
+    nodes each half coded by its own search with the other half blocked."""
+    ctr = center(t)
+    if len(ctr) == 1:
+        return "1" + _rooted_code_reference(t, ctr[0])
+    c1, c2 = ctr
+    return "2" + "".join(
+        sorted([_rooted_code_reference(t, c1, c2), _rooted_code_reference(t, c2, c1)])
+    )
+
+
+def _legal_moves_reference(t: Tree) -> list[tuple[int, int, int]]:
+    """Oracle for legal_moves: one branch_members search per (donor,
+    gateway) pair."""
+    moves = []
+    for donor in range(t.n):
+        if t.degree(donor) < 2:
+            continue
+        for gw in t.neighbors(donor):
+            members = branch_members(t, donor, gw)
+            for target in range(t.n):
+                if target == donor or target in members or t.degree(target) < t.degree(donor):
+                    continue
+                moves.append((donor, gw, target))
+    return moves
+
+
+def _seeded_prufer_trees(count: int, max_n: int, seed: int) -> list[Tree]:
+    """Uniform Prufer trees, and as many hub-heavy ones whose Prufer entries
+    come from a few labels, with n drawn from 2..max_n."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(2, max_n)
+        pool = range(n) if k % 2 else rng.sample(range(n), rng.randint(1, min(n, 4)))
+        out.append(tree_from_prufer([rng.choice(pool) for _ in range(n - 2)]))
+    return out
 
 
 def brute_force_isomorphic(t1: Tree, t2: Tree) -> bool:
@@ -320,6 +377,59 @@ class TestMovePathAgainstReference:
             apply_moves(chain(4), [(1, 2)])
 
 
+class TestCoderAgainstReference:
+    """The one-pass coder (a BFS order, then child codes sorted and joined
+    in reverse order; a bicentral tree rooted once) against the post-order
+    coder it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_class_at_every_root(self, n):
+        # blocking every neighbour of every root covers both halves of each
+        # bicentroidal tree, which enumerate_trees compares
+        for t in enumerate_trees(n):
+            assert canonical_code(t) == _canonical_code_reference(t)
+            for r in range(n):
+                assert rooted_code(t, r) == _rooted_code_reference(t, r)
+                for b in t.neighbors(r):
+                    assert rooted_code(t, r, b) == _rooted_code_reference(t, r, b)
+
+    def test_seeded_prufer_trees(self):
+        rng = random.Random(11)
+        for t in _seeded_prufer_trees(500, 200, seed=2024):
+            assert canonical_code(t) == _canonical_code_reference(t)
+            for r in rng.sample(range(t.n), min(t.n, 3)):
+                assert rooted_code(t, r) == _rooted_code_reference(t, r)
+                b = rng.choice(t.neighbors(r))
+                assert rooted_code(t, r, b) == _rooted_code_reference(t, r, b)
+
+
+class TestLegalMovesAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_class(self, n):
+        rng = random.Random(n)
+        for t in enumerate_trees(n):
+            assert legal_moves(t) == _legal_moves_reference(t)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = relabel(t, dict(enumerate(perm)))
+            assert legal_moves(shuffled) == _legal_moves_reference(shuffled)
+
+    def test_seeded_prufer_trees(self):
+        for t in _seeded_prufer_trees(100, 60, seed=7):
+            assert legal_moves(t) == _legal_moves_reference(t)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_move_codes_make_each_legal_move(self, n):
+        # each step's neighbour sets are the moved tree, and are undone
+        # before the next step
+        for t in enumerate_trees(n):
+            for (mv, code, nbrs), want_mv in zip(move_codes(t), legal_moves(t), strict=True):
+                want = move_branch(t, *want_mv)
+                assert mv == want_mv
+                assert freeze_tree(nbrs) == want
+                assert code == _canonical_code_reference(want)
+
+
 class TestCanonicalCode:
     def test_relabeling_invariance(self):
         rng = random.Random(7)
@@ -405,6 +515,19 @@ class TestTreeText:
     def test_dict_rejects_float_label(self):
         with pytest.raises(TypeError):
             tree_from_dict({"n": 3, "edges": [[0, 1.9], [1, 2]]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [3, [[0, 1], [1, 2]]],  # a list, not an object
+            {"n": 3, "edges": [[0, 1, 2], [1, 2]]},  # an edge of three labels
+            {"n": 3, "edges": [[0, 1], 2]},  # an edge that is not a list
+            {"n": 3, "edges": "0 1 1 2"},  # edges that are not a list
+        ],
+    )
+    def test_dict_wrong_shape_is_parse_error(self, data):
+        with pytest.raises(ParseError):
+            tree_from_dict(data)
 
     def test_parse_rejects_self_loop(self):
         with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 """Order structure, reachability closures, certificates, diagrams, samplers."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -27,6 +28,8 @@ from treemajor import (
     find_move_trace,
     find_unreachable_pair,
     hasse_diagram,
+    legal_moves,
+    move_branch,
     random_connected_graph,
     reachability_closure,
     reachable_classes,
@@ -36,6 +39,67 @@ from treemajor import (
     verify_convex_monotonicity,
     verify_majorization_reachability,
 )
+from treemajor import verify
+
+
+def _find_move_trace_reference(t, target_delta):
+    """Oracle for find_move_trace: the same breadth-first search, building
+    and coding a Tree with move_branch for every move."""
+    start = canonical_code(t)
+    info = {start: (t, None, None)}
+    queue = deque([start])
+    hit = start if delta_sequence(t) == target_delta else None
+    while queue and hit is None:
+        code = queue.popleft()
+        tree = info[code][0]
+        for mv in legal_moves(tree):
+            nxt = move_branch(tree, *mv)
+            nxt_code = canonical_code(nxt)
+            if nxt_code in info:
+                continue
+            info[nxt_code] = (nxt, code, mv)
+            if delta_sequence(nxt) == target_delta:
+                hit = nxt_code
+                break
+            queue.append(nxt_code)
+    if hit is None:
+        return None
+    moves, code = [], hit
+    while info[code][1] is not None:
+        _, code, mv = info[code]
+        moves.append(mv)
+    return MoveTrace(initial=t, moves=tuple(reversed(moves)), final=info[hit][0])
+
+
+def _reachability_failures_reference(n, reps, edges):
+    """Oracle for the failure certificates of
+    verify_majorization_reachability over the class graph (reps, edges): a
+    closure per class, then every strict census pair (a, b) in nested
+    census order and every class with sequence a, in graph order."""
+    delta_of = {code: delta_sequence(t) for code, t in reps.items()}
+    closures = {}
+    for start in edges:
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in edges[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closures[start] = seen
+    census = delta_census(n)
+    return [
+        ReachabilityCertificate(
+            source=reps[code],
+            target_delta=b,
+            trace=None,
+            closure=tuple(reps[c] for c in sorted(closures[code])),
+        )
+        for a in census
+        for b in census
+        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
+        for code, d in delta_of.items()
+        if d == a and b not in {delta_of[c] for c in closures[code]}
+    ]
 
 
 class TestTotalOrder:
@@ -119,6 +183,26 @@ class TestMoveTraces:
     def test_zero_move_trace(self):
         trace = find_move_trace(chain(6), delta_sequence(chain(6)))
         assert trace is not None and trace.moves == ()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_move_branch_search(self, n):
+        census = delta_census(n)
+        for t in enumerate_trees(n):
+            for target in census:
+                got = find_move_trace(t, target)
+                want = _find_move_trace_reference(t, target)
+                assert got == want, (t, target)
+                if got is not None:
+                    assert [got.final.neighbors(v) for v in range(n)] == [
+                        want.final.neighbors(v) for v in range(n)
+                    ]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_successor_codes_match_move_branch(self, n):
+        for t in enumerate_trees(n):
+            assert verify._successor_codes(t) == {
+                canonical_code(move_branch(t, *mv)) for mv in legal_moves(t)
+            }
 
 
 class TestCertificates:
@@ -204,6 +288,25 @@ class TestMajorizationReachability:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
             verify_majorization_reachability(11)
+
+    def test_failure_certificates_when_a_move_is_missing(self, monkeypatch):
+        # drop the class graph's edge from the 5,2,1,... class to the star;
+        # ten (class, sequence) pairs then lose the star, and each closure
+        # certificate is rejected, because a real move leaves the closure
+        n = 7
+        reps, edges = verify._class_graph(n)
+        hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
+        (source,) = [c for c, t in reps.items() if delta_sequence(t) == hub]
+        cut = dict(edges)
+        cut[source] = edges[source] - {canonical_code(star(n))}
+        assert cut[source] != edges[source]
+        monkeypatch.setattr(verify, "_class_graph", lambda m: (reps, cut))
+        ok, certificates = verify_majorization_reachability(n)
+        assert not ok
+        assert certificates == _reachability_failures_reference(n, reps, cut)
+        assert len(certificates) == 10
+        assert {c.target_delta for c in certificates} == {delta_sequence(star(n))}
+        assert not any(check_certificate(c) for c in certificates)
 
 
 class TestUnreachablePair:
