@@ -2,8 +2,12 @@
 
 The primary generator walks canonical rooted level sequences with a
 constant-time successor rule and keeps exactly those rootings whose root is
-a centroid (with a code tie-break for bicentroidal trees), so every free
-tree appears exactly once without any dedup set.  An independent
+a centroid, with a code tie-break for bicentroidal trees, so every free
+tree appears exactly once without any dedup set.  The centroid test reads
+the level sequence alone: the root's branches run between its level-1
+positions, and the root is a centroid iff no branch has more than n/2
+nodes.  A ``Tree`` is built only for a rooting that passes, and the
+bicentroid tie-break then codes its two halves.  An independent
 brute-force oracle decodes every Prufer sequence and dedups by canonical
 code; it is exponential and meant for cross-checking at small n.
 """
@@ -20,7 +24,6 @@ from .trees import (
     Tree,
     _free_code_adj,
     canonical_code,
-    centroids,
     delta_sequence,
     rooted_code,
 )
@@ -34,8 +37,9 @@ __all__ = [
     "tree_from_prufer",
 ]
 
-#: Largest node count the generator accepts (class counts grow fast; this
-#: keeps every call comfortably in memory and under a second or two).
+#: Largest node count the generator accepts.  Class counts grow about 2.5x
+#: per node; ``enumerate_trees(16)`` (235,381 rooted candidates, 19,320
+#: classes) takes 1.4-1.7 s on a 2-vCPU container with Python 3.11.
 MAX_NODES = 16
 
 
@@ -75,30 +79,45 @@ def _tree_from_levels(levels: Sequence[int]) -> Tree:
     return Tree(n, edges)
 
 
+def _centroid_rooted_tree(levels: list[int]) -> Tree | None:
+    """The tree of ``levels`` if its root is the kept rooting of its free
+    tree: a centroid, and of two centroids the one whose half codes no
+    lower.  None otherwise; a root that is no centroid is rejected before
+    any ``Tree`` is built."""
+    n = len(levels)
+    # each level-1 position starts a root branch that runs up to the next
+    # one; the sentinel closes the last branch
+    bounded = levels + [1]
+    twin = None
+    start = 1
+    while start < n:
+        end = bounded.index(1, start + 1)
+        if 2 * (end - start) >= n:
+            if 2 * (end - start) > n:
+                return None
+            twin = start  # a branch of exactly n/2: its root is the other centroid
+        start = end
+    t = _tree_from_levels(levels)
+    # the two rootings of a bicentroidal tree both occur; keep one
+    if twin is not None and rooted_code(t, 0, twin) < rooted_code(t, twin, 0):
+        return None
+    return t
+
+
 def enumerate_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of free trees on ``n`` nodes.
 
-    Output order is lexicographic by canonical code and therefore stable.
-    Raises BoundExceeded above :data:`MAX_NODES`.
+    Each rooted level sequence is tested on the sequence itself, and a
+    ``Tree`` is built only for a rooting at a centroid; a bicentroidal
+    class keeps the rooting whose half codes no lower.  Output order is
+    lexicographic by canonical code and therefore stable.  Raises
+    BoundExceeded above :data:`MAX_NODES`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_NODES:
         raise BoundExceeded(f"enumeration supports n <= {MAX_NODES}, got {n}")
-    out = []
-    for levels in _level_sequences(n):
-        t = _tree_from_levels(levels)
-        cents = centroids(t)
-        if 0 not in cents:
-            continue
-        if len(cents) == 2:
-            other = cents[1] if cents[0] == 0 else cents[0]
-            half_root = rooted_code(t, 0, other)
-            half_other = rooted_code(t, other, 0)
-            # the two rootings of a bicentroidal tree both occur; keep one
-            if half_root < half_other:
-                continue
-        out.append(t)
+    out = [t for t in map(_centroid_rooted_tree, _level_sequences(n)) if t is not None]
     out.sort(key=canonical_code)
     return out
 
@@ -176,10 +195,16 @@ def delta_census(n: int) -> list[DeltaSequence]:
     ]
 
 
-def trees_with_delta(n: int, s: DeltaSequence) -> list[Tree]:
-    """The isomorphism classes on ``n`` nodes whose degree sequence is ``s``."""
+def require_tree_sequence(n: int, s: DeltaSequence) -> None:
+    """Raise LengthMismatch unless ``s`` has ``n`` values, and
+    NotTreeFeasible unless some tree on ``n`` nodes has it."""
     if len(s) != n:
         raise LengthMismatch(f"sequence has length {len(s)}, expected {n}")
     if not s.tree_feasible:
         raise NotTreeFeasible(f"{s} is not realizable by a tree")
+
+
+def trees_with_delta(n: int, s: DeltaSequence) -> list[Tree]:
+    """The isomorphism classes on ``n`` nodes whose degree sequence is ``s``."""
+    require_tree_sequence(n, s)
     return [t for t in enumerate_trees(n) if delta_sequence(t) == s]

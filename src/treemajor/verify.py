@@ -25,7 +25,12 @@ from .sequences import (
     compare,
     convex_functional,
 )
-from .enumeration import delta_census, enumerate_trees, tree_from_prufer, trees_with_delta
+from .enumeration import (
+    delta_census,
+    enumerate_trees,
+    require_tree_sequence,
+    tree_from_prufer,
+)
 from .trees import (
     CanonicalCode,
     Graph,
@@ -324,8 +329,13 @@ def find_unreachable_pair(
     if rel is not ComparisonResult.STRICTLY_BELOW:
         raise NotMajorized(f"{s} is not strictly below {s_prime} ({rel})")
     _require_reachability_bound(n)
-    targets = trees_with_delta(n, s_prime)
-    for t in trees_with_delta(n, s):
+    require_tree_sequence(n, s_prime)
+    require_tree_sequence(n, s)
+    # the class graph's representatives, already in canonical-code order
+    classes = _class_graph(n)[0].values()
+    sources = [t for t in classes if delta_sequence(t) == s]
+    targets = [t for t in classes if delta_sequence(t) == s_prime]
+    for t in sources:
         reach = reachable_classes(t)
         for t2 in targets:
             if canonical_code(t2) not in reach:

@@ -11,6 +11,7 @@ from treemajor import (
     NotTreeFeasible,
     Tree,
     canonical_code,
+    centroids,
     delta_census,
     delta_sequence,
     enumerate_trees,
@@ -21,14 +22,41 @@ from treemajor import (
     tree_from_prufer,
     trees_with_delta,
 )
-from treemajor.enumeration import MAX_NODES, _level_sequences
+from treemajor import enumeration
+from treemajor.enumeration import (
+    MAX_NODES,
+    _centroid_rooted_tree,
+    _level_sequences,
+    _tree_from_levels,
+)
+from treemajor.trees import rooted_code
 
-# counts of rooted and free trees by node count (standard references)
+# counts of rooted and free trees by node count (standard references; the
+# free counts are OEIS A000055 up to MAX_NODES)
 ROOTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
 FREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
-    11: 235, 12: 551,
+    11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
+
+
+def _enumerate_trees_reference(n):
+    """The filter on built trees: validate a Tree for every rooted level
+    sequence, keep it iff its root is a centroid, and of a bicentroidal
+    tree's two rootings keep the one whose half codes no lower."""
+    out = []
+    for levels in _level_sequences(n):
+        t = _tree_from_levels(levels)
+        cents = centroids(t)
+        if 0 not in cents:
+            continue
+        if len(cents) == 2:
+            other = cents[1] if cents[0] == 0 else cents[0]
+            if rooted_code(t, 0, other) < rooted_code(t, other, 0):
+                continue
+        out.append(t)
+    out.sort(key=canonical_code)
+    return out
 
 
 class TestLevelSequences:
@@ -75,6 +103,34 @@ class TestEnumerateTrees:
         with pytest.raises(ValueError):
             enumerate_trees(0)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_reference_filter(self, n):
+        # same labels and same order, not just the same classes
+        assert [t.edges for t in enumerate_trees(n)] == [
+            t.edges for t in _enumerate_trees_reference(n)
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_rooted_at_a_centroid(self, n):
+        for t in enumerate_trees(n):
+            cents = centroids(t)
+            assert 0 in cents
+            if len(cents) == 2:
+                other = cents[1] if cents[0] == 0 else cents[0]
+                assert rooted_code(t, 0, other) >= rooted_code(t, other, 0)
+
+    @pytest.mark.parametrize("n", [5, 9, 11])
+    def test_tree_built_only_for_a_kept_class(self, n, monkeypatch):
+        # odd n has no bicentroidal tree, so every build is an output
+        builds = []
+
+        def counting(levels):
+            builds.append(tuple(levels))
+            return _tree_from_levels(levels)
+
+        monkeypatch.setattr(enumeration, "_tree_from_levels", counting)
+        assert len(enumerate_trees(n)) == FREE_COUNTS[n] == len(builds)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_bruteforce_oracle(self, n):
         # the oracle walks all n^(n-2) Prufer sequences; the generator walks
@@ -82,6 +138,54 @@ class TestEnumerateTrees:
         gen = {canonical_code(t) for t in enumerate_trees(n)}
         oracle = {canonical_code(t) for t in enumerate_trees_bruteforce(n)}
         assert gen == oracle
+
+
+class TestCentroidFilter:
+    """Hand-built level sequences at the n/2 boundary of the largest root
+    branch; each is a canonical sequence the generator yields."""
+
+    # both rootings of a bicentroidal tree: the kept one, whose half codes
+    # no lower than the other centroid's, and the rejected one
+    ROOTINGS = [
+        ([0, 1, 2, 3, 4, 1, 1, 1], [0, 1, 2, 3, 1, 2, 2, 2]),
+        ([0, 1, 2, 3, 1, 1], [0, 1, 2, 2, 1, 2]),
+    ]
+
+    @pytest.mark.parametrize("kept,rejected", ROOTINGS)
+    def test_branch_of_exactly_half(self, kept, rejected):
+        n = len(kept)
+        assert kept in list(_level_sequences(n))
+        assert rejected in list(_level_sequences(n))
+        t = _centroid_rooted_tree(kept)
+        assert t is not None
+        assert t.edges == _tree_from_levels(kept).edges
+        c0, twin = centroids(t)
+        assert c0 == 0
+        assert rooted_code(t, 0, twin) > rooted_code(t, twin, 0)
+        other = _tree_from_levels(rejected)
+        assert len(centroids(other)) == 2
+        assert is_isomorphic(other, t)
+        assert _centroid_rooted_tree(rejected) is None
+
+    def test_branch_of_exactly_half_with_equal_halves(self):
+        # one edge: both ends are centroids and the two rootings coincide
+        t = _centroid_rooted_tree([0, 1])
+        assert t is not None
+        assert centroids(t) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [0, 1, 2, 3, 4, 5, 1, 1],  # 5 of 8
+            [0, 1, 2, 2, 2, 1, 1],  # 4 of 7
+            [0, 1, 2, 3, 1, 2, 2, 2, 2],  # 5 of 9, and the larger branch comes second
+            [0, 1, 2],  # 2 of 3
+        ],
+    )
+    def test_branch_above_half_rejected(self, levels):
+        assert levels in list(_level_sequences(len(levels)))
+        assert 0 not in centroids(_tree_from_levels(levels))
+        assert _centroid_rooted_tree(levels) is None
 
 
 class TestPrufer:

@@ -10,8 +10,10 @@ from treemajor import (
     ComparisonResult,
     DeltaSequence,
     Graph,
+    LengthMismatch,
     MoveTrace,
     NotMajorized,
+    NotTreeFeasible,
     OrderReport,
     ReachabilityCertificate,
     canonical_code,
@@ -35,6 +37,7 @@ from treemajor import (
     reachable_classes,
     standard_graph_suite,
     star,
+    trees_with_delta,
     verify_chain_minimality,
     verify_convex_monotonicity,
     verify_majorization_reachability,
@@ -100,6 +103,18 @@ def _reachability_failures_reference(n, reps, edges):
         for code, d in delta_of.items()
         if d == a and b not in {delta_of[c] for c in closures[code]}
     ]
+
+
+def _find_unreachable_pair_reference(n, s, s_prime):
+    """Oracle for find_unreachable_pair: one enumeration for the targets and
+    one for the sources, both in canonical-code order."""
+    targets = trees_with_delta(n, s_prime)
+    for t in trees_with_delta(n, s):
+        reach = reachable_classes(t)
+        for t2 in targets:
+            if canonical_code(t2) not in reach:
+                return (t, t2)
+    return None
 
 
 class TestTotalOrder:
@@ -334,6 +349,35 @@ class TestUnreachablePair:
                 8,
                 DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
                 DeltaSequence([4, 4, 1, 1, 1, 1, 1, 1]),
+            )
+
+    # at n=8 a reversed class scan gives a different answer for 4 pairs
+    @pytest.mark.parametrize("n,strict_pairs,blocked", [(7, 21, 2), (8, 53, 5)])
+    def test_matches_two_enumeration_reference(self, n, strict_pairs, blocked):
+        census = delta_census(n)
+        pairs = [
+            (a, b)
+            for a in census
+            for b in census
+            if compare(a, b) is ComparisonResult.STRICTLY_BELOW
+        ]
+        answers = [find_unreachable_pair(n, a, b) for a, b in pairs]
+        assert answers == [_find_unreachable_pair_reference(n, a, b) for a, b in pairs]
+        assert len(pairs) == strict_pairs
+        assert sum(pair is not None for pair in answers) == blocked
+
+    def test_sequences_checked_against_n(self):
+        with pytest.raises(LengthMismatch):
+            find_unreachable_pair(
+                6, DeltaSequence([2, 2, 1, 1, 1]), DeltaSequence([3, 2, 1, 1, 1])
+            )
+        with pytest.raises(NotTreeFeasible):  # the target sums to 10, not 8
+            find_unreachable_pair(
+                5, DeltaSequence([2, 2, 2, 1, 1]), DeltaSequence([4, 2, 2, 1, 1])
+            )
+        with pytest.raises(NotTreeFeasible):  # the source sums to 7
+            find_unreachable_pair(
+                5, DeltaSequence([2, 2, 1, 1, 1]), DeltaSequence([3, 2, 1, 1, 1])
             )
 
     def test_absent_when_every_class_reachable(self):
