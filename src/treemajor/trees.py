@@ -84,7 +84,7 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-def _reachable_from(n: int, adj: Sequence[Sequence[int]], start: int) -> set[int]:
+def _reachable_from(adj: Sequence[Sequence[int]], start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
@@ -114,7 +114,7 @@ class Graph:
         norm = _normalize_edges(n, edges)
         self._check_edge_count(n, len(norm))
         adj = _adjacency(n, norm)
-        if len(_reachable_from(n, adj, 0)) != n:
+        if len(_reachable_from(adj, 0)) != n:
             raise NotConnected(f"{len(norm)} edges do not connect all {n} nodes")
         self.n = n
         self.edges = frozenset(norm)

@@ -69,8 +69,11 @@ __all__ = [
     "standard_graph_suite",
 ]
 
-#: Reachability closures enumerate every tree class of the given size.
-REACHABILITY_MAX_NODES = 10
+#: Reachability closures enumerate every tree class of the given size.  The
+#: budget is under 1 s for every reachability operation at the bound on a
+#: 2-vCPU machine: at n=12 the cold class table plus theorem pass took
+#: 0.36 s and the largest negative certificate 0.42 s, at n=13 1.0 s and 1.3 s.
+REACHABILITY_MAX_NODES = 12
 HASSE_MAX_NODES = 12
 DEFAULT_SEED = 1905
 
@@ -125,15 +128,30 @@ def check_total_order(n: int) -> OrderReport:
 
 @lru_cache(maxsize=None)
 def _class_graph(n: int):
-    """Single-move adjacency between tree classes of size ``n``.
+    """Reachability table over the tree classes of size ``n``: (classes,
+    index, reach).  One representative per class (move reachability is a
+    class property) in canonical-code order; code -> position; and bit j of
+    ``reach[k]`` set iff class j is reachable from class k, itself included.
 
-    Returns (code -> representative tree, code -> frozenset of codes one
-    degree-rule move away).  Move reachability is a class property, so one
-    representative per class suffices.
+    A move that does not strictly raise the degree sequence is a library
+    defect and raises RuntimeError before its target's bits are read.  All
+    others raise the strictly Schur-convex sum(d*d), so descending sum(d*d)
+    is a topological order of the class DAG: successors finish first.
     """
-    reps = {canonical_code(t): t for t in enumerate_trees(n)}
-    edges = {code: _successor_codes(t) for code, t in reps.items()}
-    return reps, edges
+    classes = enumerate_trees(n)
+    index = {canonical_code(t): k for k, t in enumerate(classes)}
+    deltas = [delta_sequence(t) for t in classes if n > 1]  # one node: no sequence
+    reach = [1 << k for k in range(len(classes))]
+    for k in sorted(range(len(deltas)), key=lambda k: -sum(d * d for d in deltas[k])):
+        for code in _successor_codes(classes[k]):
+            j = index[code]
+            if compare(deltas[k], deltas[j]) is not ComparisonResult.STRICTLY_BELOW:
+                raise RuntimeError(
+                    f"degree-rule move did not raise the degree sequence: "
+                    f"{deltas[k]} -> {deltas[j]}"
+                )
+            reach[k] |= reach[j]
+    return classes, index, reach
 
 
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
@@ -151,18 +169,6 @@ def _strict_pairs(census: list[DeltaSequence]) -> list[tuple[DeltaSequence, Delt
     ]
 
 
-def _closure_codes(edges: dict, start: CanonicalCode) -> frozenset[CanonicalCode]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        code = stack.pop()
-        for nxt in edges[code]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
-
-
 def _require_reachability_bound(n: int) -> None:
     if n > REACHABILITY_MAX_NODES:
         raise BoundExceeded(
@@ -174,15 +180,17 @@ def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
     """Canonical codes of every class reachable from ``t`` (including its
     own) by any number of degree-rule branch moves."""
     _require_reachability_bound(t.n)
-    _, edges = _class_graph(t.n)
-    return _closure_codes(edges, canonical_code(t))
+    _, index, reach = _class_graph(t.n)
+    bits = reach[index[canonical_code(t)]]
+    return frozenset(code for code, j in index.items() if bits >> j & 1)
 
 
 def reachability_closure(t: Tree) -> tuple[Tree, ...]:
     """Representative trees of :func:`reachable_classes`, sorted by code."""
-    codes = reachable_classes(t)
-    reps, _ = _class_graph(t.n)
-    return tuple(reps[c] for c in sorted(codes))
+    _require_reachability_bound(t.n)
+    classes, index, reach = _class_graph(t.n)
+    bits = reach[index[canonical_code(t)]]
+    return tuple(rep for j, rep in enumerate(classes) if bits >> j & 1)
 
 
 def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
@@ -275,40 +283,33 @@ def verify_majorization_reachability(
     dominance between census sequences coincides with branch-move
     reachability.
 
-    Forward direction: every single move strictly raises the degree
-    sequence (violation would be a library defect and raises RuntimeError).
-    Converse: for every census pair a < b and every class with sequence a,
-    some reachable class has sequence b; each failure yields a closed-set
-    certificate.  Returns (all_ok, certificates-for-failures).
+    Forward direction: every move strictly raises the degree sequence; the
+    class table checks this as it is built and raises RuntimeError on a
+    violation (a library defect).  Converse: for every census pair a < b
+    and every class with sequence a, some reachable class has sequence b.
+    Each failure, in nested census order then class order, yields a
+    closed-set certificate.  Returns (all_ok, certificates-for-failures).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _require_reachability_bound(n)
-    reps, edges = _class_graph(n)
-    delta_of = {code: delta_sequence(t) for code, t in reps.items()}
-    for code, nbrs in edges.items():
-        for nxt in nbrs:
-            if compare(delta_of[code], delta_of[nxt]) is not ComparisonResult.STRICTLY_BELOW:
-                raise RuntimeError(
-                    f"degree-rule move did not raise the degree sequence: "
-                    f"{delta_of[code]} -> {delta_of[nxt]}"
-                )
-    closures = {code: _closure_codes(edges, code) for code in edges}
-    reachable_deltas = {
-        code: {delta_of[c] for c in closure} for code, closure in closures.items()
-    }
-    failures: list[ReachabilityCertificate] = []
-    for a, b in _strict_pairs(delta_census(n)):
-        for code, d in delta_of.items():
-            if d == a and b not in reachable_deltas[code]:
-                failures.append(
-                    ReachabilityCertificate(
-                        source=reps[code],
-                        target_delta=b,
-                        trace=None,
-                        closure=tuple(reps[c] for c in sorted(closures[code])),
-                    )
-                )
+    classes, _, reach = _class_graph(n)
+    census = delta_census(n)
+    members = {s: [] for s in census}  # census sequence -> class positions
+    for k, t in enumerate(classes):
+        members[delta_sequence(t)].append(k)
+    mask = {s: sum(1 << k for k in ks) for s, ks in members.items()}
+    failures = [
+        ReachabilityCertificate(
+            source=classes[k],
+            target_delta=b,
+            trace=None,
+            closure=reachability_closure(classes[k]),
+        )
+        for a, b in _strict_pairs(census)
+        for k in members[a]
+        if not reach[k] & mask[b]
+    ]
     return (not failures, failures)
 
 
@@ -331,15 +332,13 @@ def find_unreachable_pair(
     _require_reachability_bound(n)
     require_tree_sequence(n, s_prime)
     require_tree_sequence(n, s)
-    # the class graph's representatives, already in canonical-code order
-    classes = _class_graph(n)[0].values()
-    sources = [t for t in classes if delta_sequence(t) == s]
-    targets = [t for t in classes if delta_sequence(t) == s_prime]
-    for t in sources:
-        reach = reachable_classes(t)
-        for t2 in targets:
-            if canonical_code(t2) not in reach:
-                return (t, t2)
+    classes, _, reach = _class_graph(n)
+    sources = [k for k, t in enumerate(classes) if delta_sequence(t) == s]
+    targets = [j for j, t in enumerate(classes) if delta_sequence(t) == s_prime]
+    for k in sources:
+        for j in targets:
+            if not reach[k] >> j & 1:
+                return (classes[k], classes[j])
     return None
 
 

@@ -127,11 +127,11 @@ def test_07_every_feasible_sequence_realizes_both_ways():
     _passed(7, f"both constructions realize all {checked} feasible sequences, n<=10")
 
 
-def test_08_dominance_equals_reachability_up_to_nine():
-    for n in range(2, 10):
+def test_08_dominance_equals_reachability_up_to_twelve():
+    for n in range(2, 13):
         ok, certificates = verify_majorization_reachability(n)
         assert ok and certificates == []
-    _passed(8, "dominance coincides with branch-move reachability for n<=9")
+    _passed(8, "dominance coincides with branch-move reachability for n<=12")
 
 
 def test_09_blocked_pair_with_certificates():

@@ -212,6 +212,14 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 4
 
+    def test_theorem_at_reachability_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "12", "--theorem")
+        assert code == 0 and "theorem n=12: PASS" in out
+
+    def test_theorem_bound_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "13", "--theorem")
+        assert code == 2 and out == "" and "n <= 12" in err
+
     def test_failed_check_exit_five(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_convex_monotonicity", lambda n: False)
         code, out, _ = run(capsys, "verify", "5", "--convex")

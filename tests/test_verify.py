@@ -15,7 +15,9 @@ from treemajor import (
     NotMajorized,
     NotTreeFeasible,
     OrderReport,
+    REACHABILITY_MAX_NODES,
     ReachabilityCertificate,
+    Tree,
     canonical_code,
     certify_reachability,
     chain,
@@ -74,21 +76,35 @@ def _find_move_trace_reference(t, target_delta):
     return MoveTrace(initial=t, moves=tuple(reversed(moves)), final=info[hit][0])
 
 
+def _closure_codes_reference(edges, start):
+    """Oracle for reachable_classes: a depth-first search from ``start``
+    over ``edges``, code -> the _successor_codes of that class."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in edges[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
+
+
+@pytest.fixture
+def patched_successors(monkeypatch):
+    """The monkeypatch fixture, for a test that patches
+    verify._successor_codes.  The class table is cached per n, so it is
+    cleared before and after, and a patched graph never outlives the test."""
+    verify._class_graph.cache_clear()
+    yield monkeypatch
+    verify._class_graph.cache_clear()
+
+
 def _reachability_failures_reference(n, reps, edges):
     """Oracle for the failure certificates of
     verify_majorization_reachability over the class graph (reps, edges): a
     closure per class, then every strict census pair (a, b) in nested
     census order and every class with sequence a, in graph order."""
     delta_of = {code: delta_sequence(t) for code, t in reps.items()}
-    closures = {}
-    for start in edges:
-        seen, stack = {start}, [start]
-        while stack:
-            for nxt in edges[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        closures[start] = seen
+    closures = {start: _closure_codes_reference(edges, start) for start in edges}
     census = delta_census(n)
     return [
         ReachabilityCertificate(
@@ -183,7 +199,23 @@ class TestReachability:
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
-            reachable_classes(chain(11))
+            reachable_classes(chain(REACHABILITY_MAX_NODES + 1))
+        with pytest.raises(BoundExceeded):
+            reachability_closure(chain(REACHABILITY_MAX_NODES + 1))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_depth_first_reference(self, n):
+        rng = random.Random(n)
+        reps = {canonical_code(t): t for t in enumerate_trees(n)}
+        edges = {code: verify._successor_codes(t) for code, t in reps.items()}
+        for code, t in reps.items():
+            want = _closure_codes_reference(edges, code)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copy = Tree(n, [(perm[u], perm[v]) for u, v in t.edges])
+            for tree in (t, copy):
+                assert reachable_classes(tree) == want
+                assert reachability_closure(tree) == tuple(reps[c] for c in sorted(want))
 
 
 class TestMoveTraces:
@@ -302,26 +334,52 @@ class TestMajorizationReachability:
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
-            verify_majorization_reachability(11)
+            verify_majorization_reachability(REACHABILITY_MAX_NODES + 1)
 
-    def test_failure_certificates_when_a_move_is_missing(self, monkeypatch):
-        # drop the class graph's edge from the 5,2,1,... class to the star;
-        # ten (class, sequence) pairs then lose the star, and each closure
-        # certificate is rejected, because a real move leaves the closure
+    def test_failure_certificates_when_a_move_is_missing(self, patched_successors):
+        # drop the move from the 5,2,1,... class to the star; ten (class,
+        # sequence) pairs then lose the star, and each closure certificate
+        # is rejected once the real moves are back, because a real move
+        # leaves the closure
         n = 7
-        reps, edges = verify._class_graph(n)
         hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
-        (source,) = [c for c, t in reps.items() if delta_sequence(t) == hub]
-        cut = dict(edges)
-        cut[source] = edges[source] - {canonical_code(star(n))}
-        assert cut[source] != edges[source]
-        monkeypatch.setattr(verify, "_class_graph", lambda m: (reps, cut))
-        ok, certificates = verify_majorization_reachability(n)
+        star_code = canonical_code(star(n))
+        real = verify._successor_codes
+        (source,) = [t for t in enumerate_trees(n) if delta_sequence(t) == hub]
+        assert star_code in real(source)
+
+        def cut(t):
+            codes = real(t)
+            return codes - {star_code} if delta_sequence(t) == hub else codes
+
+        reps = {canonical_code(t): t for t in enumerate_trees(n)}
+        edges = {code: cut(t) for code, t in reps.items()}
+        with patched_successors.context() as patch:
+            patch.setattr(verify, "_successor_codes", cut)
+            ok, certificates = verify_majorization_reachability(n)
         assert not ok
-        assert certificates == _reachability_failures_reference(n, reps, cut)
+        assert certificates == _reachability_failures_reference(n, reps, edges)
         assert len(certificates) == 10
         assert {c.target_delta for c in certificates} == {delta_sequence(star(n))}
         assert not any(check_certificate(c) for c in certificates)
+
+    def test_move_that_does_not_raise_the_sequence_is_a_defect(
+        self, patched_successors
+    ):
+        # a class listing itself as a successor breaks the forward
+        # direction; the table build checks it, so every reader raises
+        n = 6
+        real = verify._successor_codes
+        looped = canonical_code(chain(n))
+        patched_successors.setattr(
+            verify,
+            "_successor_codes",
+            lambda t: real(t) | {looped} if canonical_code(t) == looped else real(t),
+        )
+        with pytest.raises(RuntimeError, match="did not raise the degree sequence"):
+            verify_majorization_reachability(n)
+        with pytest.raises(RuntimeError, match="did not raise the degree sequence"):
+            reachable_classes(star(n))
 
 
 class TestUnreachablePair:
