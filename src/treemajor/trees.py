@@ -199,23 +199,30 @@ def delta_sequence(g: Graph) -> DeltaSequence:
     return DeltaSequence(g.degree(v) for v in range(g.n))
 
 
+def _branch_sides(adj: Sequence[Sequence[int]], root: int) -> list[int]:
+    # one search from the root labels each other node with the gateway whose
+    # branch holds it; the root is labelled with itself
+    side = [-1] * len(adj)
+    side[root] = root
+    order = list(adj[root])
+    for gw in order:
+        side[gw] = gw
+    for u in order:
+        for w in adj[u]:
+            if side[w] < 0:
+                side[w] = side[u]
+                order.append(w)
+    return side
+
+
 def branch_members(t: Tree, root: int, gateway: int) -> frozenset[int]:
     """Node set of the component containing ``gateway`` once edge
     (root, gateway) is removed."""
     edge = (root, gateway) if root < gateway else (gateway, root)
     if edge not in t.edges:
         raise ValueError(f"no edge between {root} and {gateway}")
-    seen = {gateway}
-    stack = [gateway]
-    while stack:
-        u = stack.pop()
-        for w in t.neighbors(u):
-            if u == gateway and w == root:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    side = _branch_sides(t._adj, root)
+    return frozenset(v for v in range(t.n) if side[v] == gateway)
 
 
 def branches_at(t: Tree, m: int) -> list[Branch]:
@@ -225,10 +232,11 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
     """
     if not (0 <= m < t.n):
         raise ValueError(f"node {m} outside labels 0..{t.n - 1}")
-    return [
-        Branch(root=m, gateway=c, members=branch_members(t, m, c))
-        for c in t.neighbors(m)
-    ]
+    members: dict[int, list[int]] = {c: [] for c in t.neighbors(m)}
+    for v, gw in enumerate(_branch_sides(t._adj, m)):
+        if v != m:
+            members[gw].append(v)
+    return [Branch(root=m, gateway=c, members=frozenset(vs)) for c, vs in members.items()]
 
 
 def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
@@ -329,18 +337,7 @@ def legal_moves(t: Tree) -> list[tuple[int, int, int]]:
     for donor in range(n):
         if deg[donor] < 2:
             continue
-        # one search from the donor labels each node with the gateway whose
-        # branch holds it
-        side = [-1] * n
-        side[donor] = donor
-        order = list(adj[donor])
-        for gw in order:
-            side[gw] = gw
-        for u in order:
-            for w in adj[u]:
-                if side[w] < 0:
-                    side[w] = side[u]
-                    order.append(w)
+        side = _branch_sides(adj, donor)
         targets = [v for v in range(n) if v != donor and deg[v] >= deg[donor]]
         for gw in adj[donor]:
             moves.extend((donor, gw, target) for target in targets if side[target] != gw)

@@ -71,8 +71,9 @@ __all__ = [
 
 #: Reachability closures enumerate every tree class of the given size.  The
 #: budget is under 1 s for every reachability operation at the bound on a
-#: 2-vCPU machine: at n=12 the cold class table plus theorem pass took
-#: 0.36 s and the largest negative certificate 0.42 s, at n=13 1.0 s and 1.3 s.
+#: 2-vCPU machine: at n=12 the cold class table plus theorem pass took 0.4 s
+#: and the largest negative certificate (its table build) 0.37 s; at n=13
+#: the table plus theorem pass took 1.0 s.
 REACHABILITY_MAX_NODES = 12
 HASSE_MAX_NODES = 12
 DEFAULT_SEED = 1905
@@ -129,18 +130,24 @@ def check_total_order(n: int) -> OrderReport:
 @lru_cache(maxsize=None)
 def _class_graph(n: int):
     """Reachability table over the tree classes of size ``n``: (classes,
-    index, reach).  One representative per class (move reachability is a
-    class property) in canonical-code order; code -> position; and bit j of
-    ``reach[k]`` set iff class j is reachable from class k, itself included.
+    index, reach, members).  One representative per class (move
+    reachability is a class property) in canonical-code order; code ->
+    position; bit j of ``reach[k]`` set iff class j is reachable from class
+    k, itself included; and degree sequence -> its classes' positions, in
+    order.  Raises BoundExceeded above REACHABILITY_MAX_NODES.
 
     A move that does not strictly raise the degree sequence is a library
     defect and raises RuntimeError before its target's bits are read.  All
     others raise the strictly Schur-convex sum(d*d), so descending sum(d*d)
     is a topological order of the class DAG: successors finish first.
     """
+    _require_reachability_bound(n)
     classes = enumerate_trees(n)
     index = {canonical_code(t): k for k, t in enumerate(classes)}
     deltas = [delta_sequence(t) for t in classes if n > 1]  # one node: no sequence
+    members: dict[DeltaSequence, list[int]] = {}
+    for k, d in enumerate(deltas):
+        members.setdefault(d, []).append(k)
     reach = [1 << k for k in range(len(classes))]
     for k in sorted(range(len(deltas)), key=lambda k: -sum(d * d for d in deltas[k])):
         for code in _successor_codes(classes[k]):
@@ -151,7 +158,7 @@ def _class_graph(n: int):
                     f"{deltas[k]} -> {deltas[j]}"
                 )
             reach[k] |= reach[j]
-    return classes, index, reach
+    return classes, index, reach, members
 
 
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
@@ -179,16 +186,12 @@ def _require_reachability_bound(n: int) -> None:
 def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
     """Canonical codes of every class reachable from ``t`` (including its
     own) by any number of degree-rule branch moves."""
-    _require_reachability_bound(t.n)
-    _, index, reach = _class_graph(t.n)
-    bits = reach[index[canonical_code(t)]]
-    return frozenset(code for code, j in index.items() if bits >> j & 1)
+    return frozenset(canonical_code(rep) for rep in reachability_closure(t))
 
 
 def reachability_closure(t: Tree) -> tuple[Tree, ...]:
     """Representative trees of :func:`reachable_classes`, sorted by code."""
-    _require_reachability_bound(t.n)
-    classes, index, reach = _class_graph(t.n)
+    classes, index, reach, _ = _class_graph(t.n)
     bits = reach[index[canonical_code(t)]]
     return tuple(rep for j, rep in enumerate(classes) if bits >> j & 1)
 
@@ -196,54 +199,56 @@ def reachability_closure(t: Tree) -> tuple[Tree, ...]:
 def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     """Shortest concrete move sequence from ``t`` to any tree whose degree
     sequence is ``target_delta``, or None if no class with that sequence is
-    reachable.  Deterministic: breadth-first, moves in canonical order."""
+    reachable.  Deterministic: breadth-first, moves in canonical order.
+
+    Every move strictly raises the degree sequence, so the order decides
+    first: an equal target gives the zero-move trace and one that does not
+    strictly dominate ``delta_sequence(t)`` gives None, with no search.
+    Raises BoundExceeded above REACHABILITY_MAX_NODES, and LengthMismatch or
+    NotTreeFeasible for a target that is not a tree sequence on ``t.n``.
+    """
     _require_reachability_bound(t.n)
-    start_code = canonical_code(t)
+    require_tree_sequence(t.n, target_delta)
+    rel = compare(delta_sequence(t), target_delta)
+    if rel is ComparisonResult.EQUAL:
+        return MoveTrace(initial=t, moves=(), final=t)
+    if rel is not ComparisonResult.STRICTLY_BELOW:
+        return None
     # parent pointers over concrete trees so the trace replays literally
+    start = canonical_code(t)
     info: dict[CanonicalCode, tuple[Tree, CanonicalCode | None, tuple | None]] = {
-        start_code: (t, None, None)
+        start: (t, None, None)
     }
-    queue = deque([start_code])
-    hit = start_code if delta_sequence(t) == target_delta else None
-    while queue and hit is None:
+    queue = deque([start])
+    while queue:
         code = queue.popleft()
-        tree = info[code][0]
-        for mv, nxt_code, nbrs in move_codes(tree):
+        for mv, nxt_code, nbrs in move_codes(info[code][0]):
             if nxt_code in info:
                 continue
             nxt = freeze_tree(nbrs)
             info[nxt_code] = (nxt, code, mv)
-            if delta_sequence(nxt) == target_delta:
-                hit = nxt_code
-                break
-            queue.append(nxt_code)
-    if hit is None:
-        return None
-    moves = []
-    code = hit
-    while info[code][1] is not None:
-        _, parent, mv = info[code]
-        moves.append(mv)
-        code = parent
-    moves.reverse()
-    return MoveTrace(initial=t, moves=tuple(moves), final=info[hit][0])
+            if delta_sequence(nxt) != target_delta:
+                queue.append(nxt_code)
+                continue
+            moves = []
+            while nxt_code != start:
+                _, nxt_code, mv = info[nxt_code]
+                moves.append(mv)
+            return MoveTrace(initial=t, moves=tuple(reversed(moves)), final=nxt)
+    return None
 
 
 def certify_reachability(
     t: Tree, target_delta: DeltaSequence
 ) -> ReachabilityCertificate:
     """Positive (move trace) or negative (closed reachable set) certificate
-    for reaching the degree sequence ``target_delta`` from ``t``."""
+    for reaching the degree sequence ``target_delta`` from ``t``.  Raises as
+    :func:`find_move_trace` does; a target that does not strictly dominate
+    ``delta_sequence(t)`` costs one class-table read and no search."""
     trace = find_move_trace(t, target_delta)
-    if trace is not None:
-        return ReachabilityCertificate(
-            source=t, target_delta=target_delta, trace=trace, closure=None
-        )
+    closure = reachability_closure(t) if trace is None else None
     return ReachabilityCertificate(
-        source=t,
-        target_delta=target_delta,
-        trace=None,
-        closure=reachability_closure(t),
+        source=t, target_delta=target_delta, trace=trace, closure=closure
     )
 
 
@@ -256,8 +261,9 @@ def closure_is_closed(trees: tuple[Tree, ...]) -> bool:
 
 def check_certificate(cert: ReachabilityCertificate) -> bool:
     """Re-verify a certificate from scratch; True iff it genuinely proves
-    its claim.  A trace that breaks the move rules is rejected; one whose
-    labels are not ints raises TypeError."""
+    its claim.  A trace that breaks the move rules is rejected, and so is a
+    closure whose target is not a tree sequence on ``source.n`` nodes; a
+    trace whose labels are not ints raises TypeError."""
     if cert.trace is not None:
         trace = cert.trace
         if trace.initial != cert.source:
@@ -268,6 +274,10 @@ def check_certificate(cert: ReachabilityCertificate) -> bool:
             return False
         return cur == trace.final and delta_sequence(cur) == cert.target_delta
     closure = cert.closure
+    try:
+        require_tree_sequence(cert.source.n, cert.target_delta)
+    except TreeMajorError:
+        return False
     codes = {canonical_code(t) for t in closure}
     if canonical_code(cert.source) not in codes:
         return False
@@ -292,12 +302,8 @@ def verify_majorization_reachability(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    _require_reachability_bound(n)
-    classes, _, reach = _class_graph(n)
+    classes, _, reach, members = _class_graph(n)
     census = delta_census(n)
-    members = {s: [] for s in census}  # census sequence -> class positions
-    for k, t in enumerate(classes):
-        members[delta_sequence(t)].append(k)
     mask = {s: sum(1 << k for k in ks) for s, ks in members.items()}
     failures = [
         ReachabilityCertificate(
@@ -320,23 +326,22 @@ def find_unreachable_pair(
     reachable from T, or None when every target class is reachable from
     every source class.
 
+    Raises BoundExceeded for n above the bound before anything else.
     Requires s strictly below s'; equal sequences trivially yield None.
     Classes are scanned in canonical-code order, so the answer is
     deterministic.
     """
+    _require_reachability_bound(n)
     rel = compare(s, s_prime)
     if rel is ComparisonResult.EQUAL:
         return None
     if rel is not ComparisonResult.STRICTLY_BELOW:
         raise NotMajorized(f"{s} is not strictly below {s_prime} ({rel})")
-    _require_reachability_bound(n)
     require_tree_sequence(n, s_prime)
     require_tree_sequence(n, s)
-    classes, _, reach = _class_graph(n)
-    sources = [k for k, t in enumerate(classes) if delta_sequence(t) == s]
-    targets = [j for j, t in enumerate(classes) if delta_sequence(t) == s_prime]
-    for k in sources:
-        for j in targets:
+    classes, _, reach, members = _class_graph(n)
+    for k in members[s]:
+        for j in members[s_prime]:
             if not reach[k] >> j & 1:
                 return (classes[k], classes[j])
     return None

@@ -45,13 +45,32 @@ def relabel(t: Tree, perm: dict[int, int]) -> Tree:
     return Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
 
 
+def _branch_members_reference(t, root, gateway):
+    """Oracle for branch_members: a depth-first search from the gateway that
+    never crosses back to the root."""
+    edge = (root, gateway) if root < gateway else (gateway, root)
+    if edge not in t.edges:
+        raise ValueError(f"no edge between {root} and {gateway}")
+    seen = {gateway}
+    stack = [gateway]
+    while stack:
+        u = stack.pop()
+        for w in t.neighbors(u):
+            if u == gateway and w == root:
+                continue
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
 def _move_branch_reference(t, donor, gateway, target, enforce_degree_rule=True):
     """Oracle for move_branch: the same checks in the same order, with the
-    moved branch found by branch_members and the result rebuilt by the
-    validating Tree constructor."""
+    moved branch found by the reference search and the result rebuilt by
+    the validating Tree constructor."""
     if type(donor) is not int or type(gateway) is not int or type(target) is not int:
         raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
-    members = branch_members(t, donor, gateway)  # also checks the edge
+    members = _branch_members_reference(t, donor, gateway)  # also checks the edge
     if t.degree(donor) < 2:
         raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
     if target == donor:
@@ -116,14 +135,14 @@ def _canonical_code_reference(t: Tree) -> str:
 
 
 def _legal_moves_reference(t: Tree) -> list[tuple[int, int, int]]:
-    """Oracle for legal_moves: one branch_members search per (donor,
+    """Oracle for legal_moves: one reference branch search per (donor,
     gateway) pair."""
     moves = []
     for donor in range(t.n):
         if t.degree(donor) < 2:
             continue
         for gw in t.neighbors(donor):
-            members = branch_members(t, donor, gw)
+            members = _branch_members_reference(t, donor, gw)
             for target in range(t.n):
                 if target == donor or target in members or t.degree(target) < t.degree(donor):
                     continue
@@ -252,6 +271,16 @@ class TestBranches:
     def test_missing_edge(self):
         with pytest.raises(ValueError):
             branch_members(chain(4), 0, 2)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_match_the_depth_first_reference(self, n):
+        for t in enumerate_trees(n):
+            for m in range(n):
+                want = [(c, _branch_members_reference(t, m, c)) for c in t.neighbors(m)]
+                assert [(c, branch_members(t, m, c)) for c in t.neighbors(m)] == want
+                assert [(b.root, b.gateway, b.members) for b in branches_at(t, m)] == [
+                    (m, c, members) for c, members in want
+                ]
 
 
 class TestMoveBranch:

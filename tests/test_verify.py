@@ -203,6 +203,20 @@ class TestReachability:
         with pytest.raises(BoundExceeded):
             reachability_closure(chain(REACHABILITY_MAX_NODES + 1))
 
+    def test_bound_comes_before_the_order(self):
+        # past the bound every search entry point raises, whether or not the
+        # target dominates the source
+        n = REACHABILITY_MAX_NODES + 1
+        low, high = delta_sequence(chain(n)), delta_sequence(star(n))
+        for source, target in [(chain(n), high), (star(n), low)]:
+            with pytest.raises(BoundExceeded):
+                find_move_trace(source, target)
+            with pytest.raises(BoundExceeded):
+                certify_reachability(source, target)
+        for s, s_prime in [(low, high), (high, low)]:
+            with pytest.raises(BoundExceeded):
+                find_unreachable_pair(n, s, s_prime)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_depth_first_reference(self, n):
         rng = random.Random(n)
@@ -243,6 +257,28 @@ class TestMoveTraces:
                     assert [got.final.neighbors(v) for v in range(n)] == [
                         want.final.neighbors(v) for v in range(n)
                     ]
+
+    def test_order_decides_without_a_search(self, monkeypatch):
+        # every move strictly raises the sequence, so a target that does not
+        # strictly dominate is answered before any move is made
+        def no_search(t):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(verify, "move_codes", no_search)
+        n = 8
+        census = delta_census(n)
+        for t in enumerate_trees(n):
+            base = delta_sequence(t)
+            for target in census:
+                rel = compare(base, target)
+                if rel is ComparisonResult.EQUAL:
+                    assert find_move_trace(t, target) == MoveTrace(
+                        initial=t, moves=(), final=t
+                    )
+                elif rel is not ComparisonResult.STRICTLY_BELOW:
+                    assert find_move_trace(t, target) is None
+        with pytest.raises(AssertionError, match="searched"):
+            find_move_trace(chain(n), delta_sequence(star(n)))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_successor_codes_match_move_branch(self, n):
@@ -311,6 +347,28 @@ class TestCertificates:
         )
         with pytest.raises(TypeError):
             check_certificate(forged)
+
+    @pytest.mark.parametrize(
+        "target,error",
+        [
+            ([3, 3, 1, 1, 1, 1, 1], LengthMismatch),
+            ([9, 1, 1, 1, 1, 1], NotTreeFeasible),
+            ([2, 2, 2, 2, 2, 2], NotTreeFeasible),
+        ],
+    )
+    def test_malformed_target_rejected(self, target, error):
+        t = chain(6)
+        with pytest.raises(error):
+            find_move_trace(t, DeltaSequence(target))
+        with pytest.raises(error):
+            certify_reachability(t, DeltaSequence(target))
+        forged = ReachabilityCertificate(
+            source=t,
+            target_delta=DeltaSequence(target),
+            trace=None,
+            closure=reachability_closure(t),
+        )
+        assert not check_certificate(forged)
 
     def test_exactly_one_side_required(self):
         with pytest.raises(ValueError):
