@@ -296,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lorenz", help="emit the Lorenz curve of a sequence")
     p.add_argument("seq")
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--csv", action="store_true", help="shorthand for --format csv")
-    _add_format(p, ["text", "structured", "csv"])
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--csv", action="store_true", help="shorthand for --format csv")
+    _add_format(g, ["text", "structured", "csv"])
     p.set_defaults(handler=_cmd_lorenz)
 
     p = sub.add_parser("plan", help="plan basic transfers source -> target")
@@ -309,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="build a tree with a given sequence")
     p.add_argument("seq")
     p.add_argument("--method", choices=["chain", "direct"], default="chain")
-    p.add_argument("--dot", action="store_true", help="shorthand for --format dot")
-    _add_format(p, ["text", "structured", "dot"])
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--dot", action="store_true", help="shorthand for --format dot")
+    _add_format(g, ["text", "structured", "dot"])
     p.set_defaults(handler=_cmd_realize)
 
     p = sub.add_parser("enumerate", help="all tree classes on n nodes")

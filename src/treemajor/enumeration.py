@@ -2,14 +2,15 @@
 
 The primary generator walks canonical rooted level sequences with a
 constant-time successor rule and keeps exactly those rootings whose root is
-a centroid, with a code tie-break for bicentroidal trees, so every free
-tree appears exactly once without any dedup set.  The centroid test reads
-the level sequence alone: the root's branches run between its level-1
-positions, and the root is a centroid iff no branch has more than n/2
-nodes.  A ``Tree`` is built only for a rooting that passes, and the
-bicentroid tie-break then codes its two halves.  An independent
-brute-force oracle decodes every Prufer sequence and dedups by canonical
-code; it is exponential and meant for cross-checking at small n.
+a centroid, and of a bicentroidal tree's two rootings exactly one, so every
+free tree appears exactly once without any dedup set.  Both tests read the
+level sequence alone: the root's branches run between its level-1
+positions, the root is a centroid iff no branch has more than n/2 nodes,
+and a branch of exactly n/2 is the other centroid's half, compared with the
+root's half as a level sequence.  A ``Tree`` is built only for the kept
+rooting, one per class.  An independent brute-force oracle decodes every
+Prufer sequence and dedups by canonical code; it is exponential and meant
+for cross-checking at small n.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .trees import (
     _free_code_adj,
     canonical_code,
     delta_sequence,
-    rooted_code,
 )
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 
 #: Largest node count the generator accepts.  Class counts grow about 2.5x
 #: per node; ``enumerate_trees(16)`` (235,381 rooted candidates, 19,320
-#: classes) takes 1.4-1.7 s on a 2-vCPU container with Python 3.11.
+#: classes) takes 1.1-1.4 s on a 2-vCPU container with Python 3.11.
 MAX_NODES = 16
 
 
@@ -81,37 +81,40 @@ def _tree_from_levels(levels: Sequence[int]) -> Tree:
 
 def _centroid_rooted_tree(levels: list[int]) -> Tree | None:
     """The tree of ``levels`` if its root is the kept rooting of its free
-    tree: a centroid, and of two centroids the one whose half codes no
-    lower.  None otherwise; a root that is no centroid is rejected before
-    any ``Tree`` is built."""
+    tree: a centroid, and of two centroids the one whose half has the level
+    sequence no higher.  None otherwise, decided before any ``Tree`` is
+    built."""
     n = len(levels)
     # each level-1 position starts a root branch that runs up to the next
     # one; the sentinel closes the last branch
     bounded = levels + [1]
-    twin = None
     start = 1
     while start < n:
         end = bounded.index(1, start + 1)
         if 2 * (end - start) >= n:
             if 2 * (end - start) > n:
                 return None
-            twin = start  # a branch of exactly n/2: its root is the other centroid
+            # A branch of exactly n/2: its root is the other centroid, and
+            # the tree's two rootings both occur.  Keep the one whose half
+            # codes no lower.  Both halves are canonical level sequences of
+            # n/2 nodes, which order opposite to their codes: at the first
+            # difference the deeper node writes "(" where the other closes
+            # with ")".  So the root's half codes no lower iff its level
+            # sequence is no higher.
+            if levels[:start] + levels[end:] > [lvl - 1 for lvl in levels[start:end]]:
+                return None
         start = end
-    t = _tree_from_levels(levels)
-    # the two rootings of a bicentroidal tree both occur; keep one
-    if twin is not None and rooted_code(t, 0, twin) < rooted_code(t, twin, 0):
-        return None
-    return t
+    return _tree_from_levels(levels)
 
 
 def enumerate_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of free trees on ``n`` nodes.
 
-    Each rooted level sequence is tested on the sequence itself, and a
-    ``Tree`` is built only for a rooting at a centroid; a bicentroidal
-    class keeps the rooting whose half codes no lower.  Output order is
-    lexicographic by canonical code and therefore stable.  Raises
-    BoundExceeded above :data:`MAX_NODES`.
+    Each rooted level sequence is tested on the sequence itself: the root
+    must be a centroid, and a bicentroidal class keeps the rooting whose
+    half codes no lower.  A ``Tree`` is built only for the kept rooting,
+    once per class.  Output order is lexicographic by canonical code and
+    therefore stable.  Raises BoundExceeded above :data:`MAX_NODES`.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -419,14 +419,12 @@ def centroids(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def _child_codes(adj: Sequence[Iterable[int]], root: int, blocked: int | None) -> list[list[str]]:
+def _child_codes(adj: Sequence[Iterable[int]], root: int) -> list[list[str]]:
     # One pass: a BFS order and parents from the root, then, walking that
     # order backwards, each node's sorted child codes wrapped in parentheses
     # and appended to its parent's list.  Sorting makes the encoding
     # invariant under sibling order and relabeling.
     parent = [-1] * len(adj)
-    if blocked is not None:
-        parent[root] = blocked
     order = [root]
     for v in order:
         p = parent[v]
@@ -446,7 +444,7 @@ def _child_codes(adj: Sequence[Iterable[int]], root: int, blocked: int | None) -
 def _free_code_adj(n: int, adj: Sequence[Iterable[int]]) -> CanonicalCode:
     ctr = _strip_to_center(n, adj)
     c1 = ctr[0]
-    kids = _child_codes(adj, c1, None)
+    kids = _child_codes(adj, c1)
     if len(ctr) == 1:
         return "1(" + "".join(kids[c1]) + ")"
     # rooted once at c1: c2's code is one half, c1's other children the other
@@ -454,15 +452,6 @@ def _free_code_adj(n: int, adj: Sequence[Iterable[int]]) -> CanonicalCode:
     kids[c1].remove(h2)
     h1 = "(" + "".join(kids[c1]) + ")"
     return "2" + h1 + h2 if h1 <= h2 else "2" + h2 + h1
-
-
-def rooted_code(t: Tree, root: int, blocked: int | None = None) -> str:
-    """Canonical code of ``t`` rooted at ``root``.
-
-    With ``blocked`` set to a neighbor of the root, that subtree is left out
-    (encoding one side of a split edge).
-    """
-    return "(" + "".join(_child_codes(t._adj, root, blocked)[root]) + ")"
 
 
 def canonical_code(t: Tree) -> CanonicalCode:

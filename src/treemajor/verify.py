@@ -436,7 +436,10 @@ def standard_graph_suite(
     n: int, count: int = 100, seed: int = DEFAULT_SEED
 ) -> list[Graph]:
     """Deterministic sample of ``count`` connected non-chain graphs: the
-    cycle, the complete graph, then seeded random ones."""
+    cycle, the complete graph, then seeded random ones.  A negative
+    ``count`` raises ValueError."""
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
     rng = random.Random(seed)
     suite: list[Graph] = [cycle_graph(n), complete_graph(n)]
     while len(suite) < count:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from treemajor import (
     DeltaSequence,
     parse_sequence,
@@ -88,6 +90,12 @@ class TestLorenz:
         _, out, _ = run(capsys, "lorenz", "5,2,2,1,1,1,1,1")
         assert out.strip().splitlines()[-1] == "8 8 14"
 
+    def test_csv_with_format_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lorenz", "1,1", "--csv", "--format", "structured"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_structured_round_trip(self, capsys):
         _, out, _ = run(
             capsys, "lorenz", "3,1", "--normalized", "--format", "structured"
@@ -151,6 +159,12 @@ class TestRealize:
         _, out, _ = run(capsys, "realize", "3,1,1,1", "--method", "direct", "--dot")
         assert out.startswith("graph tree {")
 
+    def test_dot_with_format_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", "1,1", "--dot", "--format", "structured"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_infeasible_exit_two(self, capsys):
         code, _, err = run(capsys, "realize", "3,1")
         assert code == 2 and "error" in err
@@ -211,6 +225,14 @@ class TestVerify:
         )
         assert code == 0
         assert out.count("PASS") == 4
+
+    def test_negative_samples_exit_two(self, capsys):
+        code, out, err = run(capsys, "verify", "8", "--chain-minimal", "--samples", "-5")
+        assert code == 2 and out == "" and "sample count" in err
+
+    def test_zero_samples(self, capsys):
+        code, out, _ = run(capsys, "verify", "6", "--chain-minimal", "--samples", "0")
+        assert code == 0 and "census exhaustive + 0 sampled graphs" in out
 
     def test_theorem_at_reachability_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "12", "--theorem")

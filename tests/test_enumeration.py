@@ -29,7 +29,7 @@ from treemajor.enumeration import (
     _level_sequences,
     _tree_from_levels,
 )
-from treemajor.trees import rooted_code
+from test_trees import _rooted_code_reference
 
 # counts of rooted and free trees by node count (standard references; the
 # free counts are OEIS A000055 up to MAX_NODES)
@@ -52,7 +52,7 @@ def _enumerate_trees_reference(n):
             continue
         if len(cents) == 2:
             other = cents[1] if cents[0] == 0 else cents[0]
-            if rooted_code(t, 0, other) < rooted_code(t, other, 0):
+            if _rooted_code_reference(t, 0, other) < _rooted_code_reference(t, other, 0):
                 continue
         out.append(t)
     out.sort(key=canonical_code)
@@ -117,11 +117,13 @@ class TestEnumerateTrees:
             assert 0 in cents
             if len(cents) == 2:
                 other = cents[1] if cents[0] == 0 else cents[0]
-                assert rooted_code(t, 0, other) >= rooted_code(t, other, 0)
+                assert _rooted_code_reference(t, 0, other) >= _rooted_code_reference(
+                    t, other, 0
+                )
 
-    @pytest.mark.parametrize("n", [5, 9, 11])
+    @pytest.mark.parametrize("n", [5, 6, 8, 9, 10, 11, 12])
     def test_tree_built_only_for_a_kept_class(self, n, monkeypatch):
-        # odd n has no bicentroidal tree, so every build is an output
+        # the rejected rooting of a bicentroidal tree builds no Tree either
         builds = []
 
         def counting(levels):
@@ -161,11 +163,28 @@ class TestCentroidFilter:
         assert t.edges == _tree_from_levels(kept).edges
         c0, twin = centroids(t)
         assert c0 == 0
-        assert rooted_code(t, 0, twin) > rooted_code(t, twin, 0)
+        assert _rooted_code_reference(t, 0, twin) > _rooted_code_reference(t, twin, 0)
         other = _tree_from_levels(rejected)
         assert len(centroids(other)) == 2
         assert is_isomorphic(other, t)
         assert _centroid_rooted_tree(rejected) is None
+
+    @pytest.mark.parametrize("n", range(2, 15, 2))
+    def test_half_comparison_matches_the_coded_halves(self, n):
+        # the rule on built trees as the oracle: code both halves and keep
+        # the rooting whose own half codes no lower
+        checked = 0
+        for levels in _level_sequences(n):
+            starts = [v for v in range(1, n) if levels[v] == 1]
+            sizes = [end - start for start, end in zip(starts, starts[1:] + [n])]
+            if 2 * max(sizes) != n:
+                continue
+            twin = starts[sizes.index(n // 2)]
+            t = _tree_from_levels(levels)
+            kept = _rooted_code_reference(t, 0, twin) >= _rooted_code_reference(t, twin, 0)
+            assert (_centroid_rooted_tree(levels) is not None) == kept, levels
+            checked += 1
+        assert checked > 0
 
     def test_branch_of_exactly_half_with_equal_halves(self):
         # one edge: both ends are centroids and the two rootings coincide

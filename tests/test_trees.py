@@ -38,7 +38,7 @@ from treemajor import (
     tree_to_dict,
     tree_to_dot,
 )
-from treemajor.trees import freeze_tree, move_codes, rooted_code
+from treemajor.trees import freeze_tree, move_codes
 
 
 def relabel(t: Tree, perm: dict[int, int]) -> Tree:
@@ -107,8 +107,9 @@ def _assert_same_tree(got: Tree, want: Tree) -> None:
 
 
 def _rooted_code_reference(t: Tree, root: int, blocked: int | None = None) -> str:
-    """Oracle for rooted_code: the iterative post-order string coder (Aho,
-    Hopcroft and Ullman), one code per (node, parent) pair."""
+    """The iterative post-order string coder (Aho, Hopcroft and Ullman), one
+    code per (node, parent) pair; with ``blocked`` set to a neighbour of the
+    root, that subtree is left out (one half of a split edge)."""
     out = {}
     stack = [(root, -1, False)]
     while stack:
@@ -413,23 +414,12 @@ class TestCoderAgainstReference:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_class_at_every_root(self, n):
-        # blocking every neighbour of every root covers both halves of each
-        # bicentroidal tree, which enumerate_trees compares
         for t in enumerate_trees(n):
             assert canonical_code(t) == _canonical_code_reference(t)
-            for r in range(n):
-                assert rooted_code(t, r) == _rooted_code_reference(t, r)
-                for b in t.neighbors(r):
-                    assert rooted_code(t, r, b) == _rooted_code_reference(t, r, b)
 
     def test_seeded_prufer_trees(self):
-        rng = random.Random(11)
         for t in _seeded_prufer_trees(500, 200, seed=2024):
             assert canonical_code(t) == _canonical_code_reference(t)
-            for r in rng.sample(range(t.n), min(t.n, 3)):
-                assert rooted_code(t, r) == _rooted_code_reference(t, r)
-                b = rng.choice(t.neighbors(r))
-                assert rooted_code(t, r, b) == _rooted_code_reference(t, r, b)
 
 
 class TestLegalMovesAgainstReference:

@@ -606,6 +606,11 @@ class TestGraphSampling:
                 len(g.edges) == 6 and max(g.degree(v) for v in range(7)) <= 2
             )
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            standard_graph_suite(6, count=-5)
+        assert standard_graph_suite(6, count=0) == []
+
     def test_suite_starts_with_cycle_and_complete(self):
         suite = standard_graph_suite(5, count=4)
         assert len(suite[0].edges) == 5  # cycle
