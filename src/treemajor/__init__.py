@@ -84,6 +84,7 @@ from .realize import (
     trace_to_dict,
 )
 from .enumeration import (
+    CENSUS_MAX_NODES,
     MAX_NODES,
     delta_census,
     enumerate_trees,
@@ -93,7 +94,6 @@ from .enumeration import (
 )
 from .verify import (
     DEFAULT_SEED,
-    HASSE_MAX_NODES,
     REACHABILITY_MAX_NODES,
     OrderReport,
     ReachabilityCertificate,

@@ -176,55 +176,36 @@ def _cmd_verify(args) -> int:
     )
     checks: list[dict] = []
 
+    def record(name: str, passed: bool, detail: str) -> None:
+        checks.append({"name": name, "passed": passed, "detail": detail})
+
     if args.total_order or run_all:
         report = check_total_order(args.n)
         expected_total = args.n <= 7
-        detail = (
-            "order is total"
-            if report.is_total
-            else f"witness: {report.witness[0]} | {report.witness[1]}"
-        )
-        checks.append(
-            {
-                "name": "total-order",
-                "passed": report.is_total == expected_total,
-                "detail": f"{detail}; expected "
-                + ("total" if expected_total else "non-total")
-                + f" at n={args.n}",
-            }
+        w = report.witness
+        detail = "order is total" if report.is_total else f"witness: {w[0]} | {w[1]}"
+        expected = "total" if expected_total else "non-total"
+        record(
+            "total-order",
+            report.is_total == expected_total,
+            f"{detail}; expected {expected} at n={args.n}",
         )
     if args.theorem or run_all:
         ok, certificates = verify_majorization_reachability(args.n)
-        checks.append(
-            {
-                "name": "theorem",
-                "passed": ok,
-                "detail": "every dominating census target is reachable from "
-                "every source class"
-                if ok
-                else f"{len(certificates)} unreachable (class, target) pairs",
-            }
+        record(
+            "theorem",
+            ok,
+            "every dominating census target is reachable from every source class"
+            if ok
+            else f"{len(certificates)} unreachable (class, target) pairs",
         )
     if args.chain_minimal or run_all:
         suite = standard_graph_suite(args.n, count=args.samples, seed=args.seed)
-        ok = verify_chain_minimality(args.n, suite)
-        checks.append(
-            {
-                "name": "chain-minimal",
-                "passed": ok,
-                "detail": f"census exhaustive + {len(suite)} sampled graphs "
-                f"(seed {args.seed})",
-            }
-        )
+        detail = f"census exhaustive + {len(suite)} sampled graphs (seed {args.seed})"
+        record("chain-minimal", verify_chain_minimality(args.n, suite), detail)
     if args.convex or run_all:
-        ok = verify_convex_monotonicity(args.n)
-        checks.append(
-            {
-                "name": "convex",
-                "passed": ok,
-                "detail": "summed convex functionals monotone along the order",
-            }
-        )
+        detail = "summed convex functionals monotone along the order"
+        record("convex", verify_convex_monotonicity(args.n), detail)
 
     if args.format == "structured":
         _emit_json({"n": args.n, "checks": checks})
@@ -255,16 +236,9 @@ def _cmd_move(args) -> int:
 
 def _cmd_hasse(args) -> int:
     if args.format == "structured":
-        _emit_json(
-            {
-                "n": args.n,
-                "nodes": [list(s.values) for s in delta_census(args.n)],
-                "edges": [
-                    [list(a.values), list(b.values)]
-                    for a, b in covering_relations(args.n)
-                ],
-            }
-        )
+        nodes = [list(s.values) for s in delta_census(args.n)]
+        edges = [[list(a.values), list(b.values)] for a, b in covering_relations(args.n)]
+        _emit_json({"n": args.n, "nodes": nodes, "edges": edges})
     else:
         print(hasse_diagram(args.n))
     return EXIT_OK

@@ -30,6 +30,7 @@ from .trees import (
 
 __all__ = [
     "MAX_NODES",
+    "CENSUS_MAX_NODES",
     "enumerate_trees",
     "enumerate_trees_bruteforce",
     "delta_census",
@@ -41,6 +42,13 @@ __all__ = [
 #: per node; ``enumerate_trees(16)`` (235,381 rooted candidates, 19,320
 #: classes) takes 1.1-1.4 s on a 2-vCPU container with Python 3.11.
 MAX_NODES = 16
+
+#: Largest node count of the degree-sequence census (p(n-2) sequences,
+#: 2,436 at n=28) and so of every operation that reads it.  At n=28 on a
+#: 2-vCPU container the slowest, ``hasse 28 --format structured``, takes
+#: 0.67-0.84 s in process, ``hasse 28`` 0.45-0.53 s, ``verify 28 --convex``
+#: 0.29-0.40 s; at n=30 the structured diagram takes 1.2 s.
+CENSUS_MAX_NODES = 28
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:
@@ -190,9 +198,12 @@ def _partitions_desc(total: int, parts: int, bound: int) -> Iterator[tuple[int, 
 def delta_census(n: int) -> list[DeltaSequence]:
     """Every tree-feasible degree sequence on ``n`` nodes, i.e. every
     partition of 2(n-1) into n positive parts, in descending lexicographic
-    order (star first, chain last)."""
+    order (star first, chain last).  Raises BoundExceeded above
+    :data:`CENSUS_MAX_NODES`."""
     if n < 2:
         raise ValueError(f"census needs n >= 2, got {n}")
+    if n > CENSUS_MAX_NODES:
+        raise BoundExceeded(f"the census supports n <= {CENSUS_MAX_NODES}, got {n}")
     return [
         DeltaSequence(p) for p in _partitions_desc(2 * (n - 1), n, n - 1)
     ]

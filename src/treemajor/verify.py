@@ -48,7 +48,6 @@ from .trees import (
 
 __all__ = [
     "REACHABILITY_MAX_NODES",
-    "HASSE_MAX_NODES",
     "DEFAULT_SEED",
     "OrderReport",
     "ReachabilityCertificate",
@@ -75,7 +74,6 @@ __all__ = [
 #: and the largest negative certificate (its table build) 0.37 s; at n=13
 #: the table plus theorem pass took 1.0 s.
 REACHABILITY_MAX_NODES = 12
-HASSE_MAX_NODES = 12
 DEFAULT_SEED = 1905
 
 
@@ -114,16 +112,22 @@ class ReachabilityCertificate:
 
 
 def check_total_order(n: int) -> OrderReport:
-    """Scan all census pairs; report the first incomparable pair, if any.
+    """Report the first incomparable census pair (a, b), a before b, if any.
 
-    The census is in descending lexicographic order and pairs are scanned
-    nested-loop, so the report is deterministic.
-    """
+    Descending lexicographic order extends dominance, so a later sequence
+    is below an earlier one or incomparable to it.  The witness is the first
+    sequence whose down-set, a bitset built up the cover list, misses a
+    later position, and the first position it misses."""
     census = delta_census(n)
-    for a_idx, a in enumerate(census):
-        for b in census[a_idx + 1 :]:
-            if compare(a, b) is ComparisonResult.INCOMPARABLE:
-                return OrderReport(n=n, is_total=False, witness=(a, b))
+    index = {s: k for k, s in enumerate(census)}
+    down = [1 << k for k in range(len(census))]
+    for a, b in reversed(list(_covers(census))):  # lower ends from the chain up
+        down[index[b]] |= down[index[a]]
+    for k, a in enumerate(census):
+        missing = ((1 << len(census)) - (2 << k)) & ~down[k]
+        if missing:
+            b = census[(missing & -missing).bit_length() - 1]
+            return OrderReport(n=n, is_total=False, witness=(a, b))
     return OrderReport(n=n, is_total=True, witness=None)
 
 
@@ -164,16 +168,6 @@ def _class_graph(n: int):
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
     """Codes of the classes one degree-rule move away from ``t``."""
     return frozenset(code for _, code, _ in move_codes(t))
-
-
-def _strict_pairs(census: list[DeltaSequence]) -> list[tuple[DeltaSequence, DeltaSequence]]:
-    """Census pairs (a, b) with a strictly below b, in nested census order."""
-    return [
-        (a, b)
-        for a in census
-        for b in census
-        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
-    ]
 
 
 def _require_reachability_bound(n: int) -> None:
@@ -312,7 +306,9 @@ def verify_majorization_reachability(
             trace=None,
             closure=reachability_closure(classes[k]),
         )
-        for a, b in _strict_pairs(census)
+        for a in census
+        for b in census
+        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
         for k in members[a]
         if not reach[k] & mask[b]
     ]
@@ -351,11 +347,10 @@ def verify_chain_minimality(n: int, sample_graphs: list[Graph]) -> bool:
     """Check the chain's degree sequence sits strictly below every other
     tree-feasible sequence of size ``n`` and below the degree sequence of
     every sampled connected non-chain graph."""
+    census = delta_census(n)
     chain_delta = delta_sequence(chain(n))
-    for s in delta_census(n):
-        if s == chain_delta:
-            continue
-        if compare(chain_delta, s) is not ComparisonResult.STRICTLY_BELOW:
+    for s in census:
+        if s != chain_delta and compare(chain_delta, s) is not ComparisonResult.STRICTLY_BELOW:
             return False
     for g in sample_graphs:
         if g.n != n:
@@ -367,45 +362,57 @@ def verify_chain_minimality(n: int, sample_graphs: list[Graph]) -> bool:
     return True
 
 
+def _covers(census: list[DeltaSequence]):
+    """Covering pairs (a, b) of the census order, grouped by a in census
+    order, by Brylawski's rule for the dominance lattice of partitions: b is
+    a with one unit moved from position i to an earlier j, where j = i-1 or
+    a_j = a_i, and b is still a tree sequence.  So i ends its run of equal
+    degrees >= 2, and j starts that run, or is i-1 if both runs are single."""
+    by_values = {s.values: s for s in census}
+    for a in census:
+        v = a.values
+        for i in range(1, len(v)):
+            d = v[i]
+            if d < 2 or v[i + 1] == d:  # a tree sequence ends in 1
+                continue
+            j = v.index(d)
+            if j == i:
+                j = i - 1
+                if j and v[j - 1] == v[j]:
+                    continue
+            w = list(v)
+            w[j] += 1
+            w[i] -= 1
+            yield a, by_values[tuple(w)]
+
+
 def verify_convex_monotonicity(n: int) -> bool:
     """For every strictly ordered census pair and every function in the
-    fixed convex family, the summed functional must not decrease."""
-    return all(
-        convex_functional(a, phi) <= convex_functional(b, phi)
-        for a, b in _strict_pairs(delta_census(n))
-        for _, phi in CONVEX_TEST_FAMILY
-    )
-
-
-def covering_relations(
-    n: int,
-) -> list[tuple[DeltaSequence, DeltaSequence]]:
-    """Covering pairs (a, b) of the census order: a strictly below b with
-    nothing strictly between."""
-    if n > HASSE_MAX_NODES:
-        raise BoundExceeded(f"order diagrams support n <= {HASSE_MAX_NODES}, got {n}")
+    fixed convex family, the summed functional must not decrease.  Checking
+    the covers alone is exact: every strict pair is joined by a chain of
+    covers, and <= on the values is transitive."""
     census = delta_census(n)
-    pairs = _strict_pairs(census)
-    below = set(pairs)
-    covers = [
-        (a, b)
-        for a, b in pairs
-        if not any((a, c) in below and (c, b) in below for c in census)
-    ]
-    covers.sort(key=lambda ab: (ab[0].values, ab[1].values))
-    return covers
+    covers = list(_covers(census))
+    for _, phi in CONVEX_TEST_FAMILY:
+        value = {s: convex_functional(s, phi) for s in census}
+        if any(value[a] > value[b] for a, b in covers):
+            return False
+    return True
+
+
+def covering_relations(n: int) -> list[tuple[DeltaSequence, DeltaSequence]]:
+    """Covering pairs (a, b) of the census order: a strictly below b with
+    nothing strictly between, sorted by (a, b) values."""
+    return sorted(_covers(delta_census(n)), key=lambda ab: (ab[0].values, ab[1].values))
 
 
 def hasse_diagram(n: int) -> str:
     """DOT digraph of the census order: one node per sequence, one edge per
     covering relation, smaller sequence pointing at the larger."""
     lines = [f"digraph census_order_{n} {{"]
-    for s in delta_census(n):
-        lines.append(f'  "{s}";')
-    for a, b in covering_relations(n):
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines)
+    lines += [f'  "{s}";' for s in delta_census(n)]
+    lines += [f'  "{a}" -> "{b}";' for a, b in covering_relations(n)]
+    return "\n".join(lines + ["}"])
 
 
 def _is_path_graph(g: Graph) -> bool:
@@ -436,10 +443,13 @@ def standard_graph_suite(
     n: int, count: int = 100, seed: int = DEFAULT_SEED
 ) -> list[Graph]:
     """Deterministic sample of ``count`` connected non-chain graphs: the
-    cycle, the complete graph, then seeded random ones.  A negative
-    ``count`` raises ValueError."""
+    cycle, the complete graph, then seeded random ones.  Empty for n < 3,
+    where every connected graph is a chain.  A negative ``count`` raises
+    ValueError."""
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
+    if n < 3:
+        return []
     rng = random.Random(seed)
     suite: list[Graph] = [cycle_graph(n), complete_graph(n)]
     while len(suite) < count:

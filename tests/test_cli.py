@@ -5,6 +5,7 @@ import json
 import pytest
 
 from treemajor import (
+    CENSUS_MAX_NODES,
     DeltaSequence,
     parse_sequence,
     parse_tree,
@@ -15,7 +16,7 @@ from treemajor import (
     delta_sequence,
     apply_moves,
 )
-from treemajor import cli
+from treemajor import cli, enumeration
 from treemajor.cli import main
 
 
@@ -242,6 +243,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "13", "--theorem")
         assert code == 2 and out == "" and "n <= 12" in err
 
+    def test_two_nodes_all_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "2", "--all")
+        assert code == 0 and out.count("PASS") == 4
+        assert "census exhaustive + 0 sampled graphs" in out
+
     def test_failed_check_exit_five(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_convex_monotonicity", lambda n: False)
         code, out, _ = run(capsys, "verify", "5", "--convex")
@@ -255,6 +261,25 @@ class TestVerify:
         data = json.loads(out)
         assert data["checks"][0]["name"] == "convex"
         assert data["checks"][0]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hasse"],
+        ["enumerate", "--delta-only"],
+        ["verify", "--convex"],
+        ["verify", "--total-order"],
+        ["verify", "--chain-minimal"],
+    ],
+)
+def test_census_bound_exit_two(capsys, monkeypatch, argv):
+    def no_census(*args):
+        raise AssertionError("generated")
+
+    monkeypatch.setattr(enumeration, "_partitions_desc", no_census)
+    code, out, err = run(capsys, argv[0], str(CENSUS_MAX_NODES + 1), *argv[1:])
+    assert code == 2 and out == "" and f"n <= {CENSUS_MAX_NODES}" in err
 
 
 class TestMove:

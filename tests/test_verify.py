@@ -6,6 +6,8 @@ from collections import deque
 import pytest
 
 from treemajor import (
+    CENSUS_MAX_NODES,
+    CONVEX_TEST_FAMILY,
     BoundExceeded,
     ComparisonResult,
     DeltaSequence,
@@ -25,6 +27,7 @@ from treemajor import (
     check_total_order,
     closure_is_closed,
     compare,
+    convex_functional,
     covering_relations,
     delta_census,
     delta_sequence,
@@ -44,7 +47,7 @@ from treemajor import (
     verify_convex_monotonicity,
     verify_majorization_reachability,
 )
-from treemajor import verify
+from treemajor import enumeration, verify
 
 
 def _find_move_trace_reference(t, target_delta):
@@ -133,6 +136,53 @@ def _find_unreachable_pair_reference(n, s, s_prime):
     return None
 
 
+def _strict_pairs_reference(n):
+    """Census pairs (a, b) with a strictly below b, in nested census order."""
+    census = delta_census(n)
+    return [
+        (a, b)
+        for a in census
+        for b in census
+        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
+    ]
+
+
+def _check_total_order_reference(n):
+    """Oracle for check_total_order: scan census pairs in nested order and
+    report the first incomparable one."""
+    census = delta_census(n)
+    for a_idx, a in enumerate(census):
+        for b in census[a_idx + 1 :]:
+            if compare(a, b) is ComparisonResult.INCOMPARABLE:
+                return OrderReport(n=n, is_total=False, witness=(a, b))
+    return OrderReport(n=n, is_total=True, witness=None)
+
+
+def _covering_relations_reference(n):
+    """Oracle for covering_relations: every strict pair with no census
+    sequence strictly between, found by searching the whole strict order."""
+    census = delta_census(n)
+    pairs = _strict_pairs_reference(n)
+    below = set(pairs)
+    covers = [
+        (a, b)
+        for a, b in pairs
+        if not any((a, c) in below and (c, b) in below for c in census)
+    ]
+    covers.sort(key=lambda ab: (ab[0].values, ab[1].values))
+    return covers
+
+
+def _convex_monotonicity_reference(n, family=CONVEX_TEST_FAMILY):
+    """Oracle for verify_convex_monotonicity: every strict pair and every
+    function of the family, each functional recomputed per pair."""
+    return all(
+        convex_functional(a, phi) <= convex_functional(b, phi)
+        for a, b in _strict_pairs_reference(n)
+        for _, phi in family
+    )
+
+
 class TestTotalOrder:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_total_up_to_seven(self, n):
@@ -153,6 +203,10 @@ class TestTotalOrder:
         assert not report.is_total
         a, b = report.witness
         assert compare(a, b) is ComparisonResult.INCOMPARABLE
+
+    @pytest.mark.parametrize("n", [*range(2, 17), CENSUS_MAX_NODES])
+    def test_matches_nested_scan_reference(self, n):
+        assert check_total_order(n) == _check_total_order_reference(n)
 
     def test_hub_family_witness_at_nine(self):
         # one concrete incomparable pair at n=9: a degree-5 hub tree versus
@@ -541,6 +595,19 @@ class TestConvexMonotonicity:
     def test_holds(self, n):
         assert verify_convex_monotonicity(n)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_strict_pair_reference(self, n):
+        assert verify_convex_monotonicity(n) == _convex_monotonicity_reference(n)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_concave_function_fails_on_covers(self, n, monkeypatch):
+        # a concave function breaks monotonicity; checking the covers alone
+        # finds that, as the strict-pair reference does
+        family = CONVEX_TEST_FAMILY + (("-t^2", lambda t: -t * t),)
+        monkeypatch.setattr(verify, "CONVEX_TEST_FAMILY", family)
+        assert not verify_convex_monotonicity(n)
+        assert not _convex_monotonicity_reference(n, family)
+
 
 class TestOrderDiagrams:
     def test_three_nodes_no_edges(self):
@@ -560,7 +627,11 @@ class TestOrderDiagrams:
         covers = covering_relations(8)
         assert (a, b) not in covers and (b, a) not in covers
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_cubic_reference(self, n):
+        assert covering_relations(n) == _covering_relations_reference(n)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
     def test_paths_match_dominance(self, n):
         census = delta_census(n)
         covers = covering_relations(n)
@@ -589,7 +660,34 @@ class TestOrderDiagrams:
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
-            covering_relations(13)
+            covering_relations(CENSUS_MAX_NODES + 1)
+
+
+class TestCensusBound:
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            delta_census,
+            hasse_diagram,
+            check_total_order,
+            verify_convex_monotonicity,
+            lambda n: verify_chain_minimality(n, []),
+        ],
+        ids=[
+            "delta_census",
+            "hasse_diagram",
+            "check_total_order",
+            "verify_convex_monotonicity",
+            "verify_chain_minimality",
+        ],
+    )
+    def test_raises_before_generating(self, operation, monkeypatch):
+        def no_census(*args):
+            raise AssertionError("generated")
+
+        monkeypatch.setattr(enumeration, "_partitions_desc", no_census)
+        with pytest.raises(BoundExceeded, match=f"n <= {CENSUS_MAX_NODES}"):
+            operation(CENSUS_MAX_NODES + 1)
 
 
 class TestGraphSampling:
@@ -610,6 +708,11 @@ class TestGraphSampling:
         with pytest.raises(ValueError):
             standard_graph_suite(6, count=-5)
         assert standard_graph_suite(6, count=0) == []
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_below_three_nodes(self, n):
+        # every connected graph on fewer than 3 nodes is a chain
+        assert standard_graph_suite(n) == []
 
     def test_suite_starts_with_cycle_and_complete(self):
         suite = standard_graph_suite(5, count=4)
