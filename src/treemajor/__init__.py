@@ -57,8 +57,6 @@ from .trees import (
     branch_members,
     branches_at,
     canonical_code,
-    center,
-    centroids,
     chain,
     complete_graph,
     cycle_graph,
@@ -88,7 +86,6 @@ from .enumeration import (
     MAX_NODES,
     delta_census,
     enumerate_trees,
-    enumerate_trees_bruteforce,
     tree_from_prufer,
     trees_with_delta,
 )

@@ -35,7 +35,7 @@ from .realize import (
     realize_from_chain,
     trace_to_dict,
 )
-from .enumeration import delta_census, enumerate_trees
+from .enumeration import delta_census, enumerate_trees, require_census_bound
 from .verify import (
     DEFAULT_SEED,
     check_total_order,
@@ -200,6 +200,7 @@ def _cmd_verify(args) -> int:
             else f"{len(certificates)} unreachable (class, target) pairs",
         )
     if args.chain_minimal or run_all:
+        require_census_bound(args.n)  # before any graph is sampled
         suite = standard_graph_suite(args.n, count=args.samples, seed=args.seed)
         detail = f"census exhaustive + {len(suite)} sampled graphs (seed {args.seed})"
         record("chain-minimal", verify_chain_minimality(args.n, suite), detail)

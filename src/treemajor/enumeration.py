@@ -8,31 +8,22 @@ level sequence alone: the root's branches run between its level-1
 positions, the root is a centroid iff no branch has more than n/2 nodes,
 and a branch of exactly n/2 is the other centroid's half, compared with the
 root's half as a level sequence.  A ``Tree`` is built only for the kept
-rooting, one per class.  An independent brute-force oracle decodes every
-Prufer sequence and dedups by canonical code; it is exponential and meant
-for cross-checking at small n.
+rooting, one per class.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, LengthMismatch, NotTreeFeasible
 from .sequences import DeltaSequence
-from .trees import (
-    Tree,
-    _free_code_adj,
-    canonical_code,
-    delta_sequence,
-)
+from .trees import Tree, canonical_code, delta_sequence
 
 __all__ = [
     "MAX_NODES",
     "CENSUS_MAX_NODES",
     "enumerate_trees",
-    "enumerate_trees_bruteforce",
     "delta_census",
     "trees_with_delta",
     "tree_from_prufer",
@@ -160,28 +151,6 @@ def tree_from_prufer(seq: Sequence[int]) -> Tree:
     return Tree(n, _prufer_edges(seq, n))
 
 
-def enumerate_trees_bruteforce(n: int) -> list[Tree]:
-    """Oracle: all labeled trees via every Prufer sequence, deduplicated by
-    canonical code.  Exact but exponential (n^(n-2) decodes); intended for
-    cross-checking :func:`enumerate_trees` at n <= 8."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return [Tree(1, [])]
-    reps: dict[str, Tree] = {}
-    for seq in product(range(n), repeat=n - 2):
-        # code the plain adjacency; Tree construction only for new codes
-        edges = _prufer_edges(seq, n)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        code = _free_code_adj(n, adj)
-        if code not in reps:
-            reps[code] = Tree(n, edges)
-    return [reps[code] for code in sorted(reps)]
-
-
 def _partitions_desc(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Partitions of ``total`` into exactly ``parts`` values in
     bound >= v_1 >= ... >= v_parts >= 1, in descending lexicographic order."""
@@ -202,11 +171,16 @@ def delta_census(n: int) -> list[DeltaSequence]:
     :data:`CENSUS_MAX_NODES`."""
     if n < 2:
         raise ValueError(f"census needs n >= 2, got {n}")
-    if n > CENSUS_MAX_NODES:
-        raise BoundExceeded(f"the census supports n <= {CENSUS_MAX_NODES}, got {n}")
+    require_census_bound(n)
     return [
         DeltaSequence(p) for p in _partitions_desc(2 * (n - 1), n, n - 1)
     ]
+
+
+def require_census_bound(n: int) -> None:
+    """Raise BoundExceeded above :data:`CENSUS_MAX_NODES`."""
+    if n > CENSUS_MAX_NODES:
+        raise BoundExceeded(f"the census supports n <= {CENSUS_MAX_NODES}, got {n}")
 
 
 def require_tree_sequence(n: int, s: DeltaSequence) -> None:

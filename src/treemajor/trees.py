@@ -39,8 +39,6 @@ __all__ = [
     "legal_moves",
     "canonical_code",
     "is_isomorphic",
-    "center",
-    "centroids",
     "cycle_graph",
     "complete_graph",
     "parse_tree",
@@ -101,10 +99,11 @@ class Graph:
 
     Construction checks the label type and range, absence of self-loops and
     duplicates, and connectivity (NotConnected otherwise).  Instances are
-    immutable.
+    immutable and store only the sorted adjacency; the edge set is derived
+    from it.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int:
@@ -117,7 +116,6 @@ class Graph:
         if len(_reachable_from(adj, 0)) != n:
             raise NotConnected(f"{len(norm)} edges do not connect all {n} nodes")
         self.n = n
-        self.edges = frozenset(norm)
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
 
     def _check_edge_count(self, n: int, m: int) -> None:
@@ -129,8 +127,14 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge as (u, v) with u < v."""
+        return frozenset(self.sorted_edges())
+
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        # u ascends and each neighbour tuple is sorted, so no sort is needed
+        return [(u, w) for u, ws in enumerate(self._adj) for w in ws if u < w]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n}, {self.sorted_edges()!r})"
@@ -155,12 +159,13 @@ class Tree(Graph):
             raise ValueError(f"a tree on {n} nodes needs {n - 1} edges, got {m}")
 
     def __eq__(self, other: object) -> bool:
+        # equal adjacency tuples mean equal node counts and edge sets
         if isinstance(other, Tree):
-            return self.n == other.n and self.edges == other.edges
+            return self._adj == other._adj
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
 
 @dataclass(frozen=True)
@@ -218,8 +223,7 @@ def _branch_sides(adj: Sequence[Sequence[int]], root: int) -> list[int]:
 def branch_members(t: Tree, root: int, gateway: int) -> frozenset[int]:
     """Node set of the component containing ``gateway`` once edge
     (root, gateway) is removed."""
-    edge = (root, gateway) if root < gateway else (gateway, root)
-    if edge not in t.edges:
+    if not (0 <= root < t.n and gateway in t._adj[root]):
         raise ValueError(f"no edge between {root} and {gateway}")
     side = _branch_sides(t._adj, root)
     return frozenset(v for v in range(t.n) if side[v] == gateway)
@@ -242,10 +246,8 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
 def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
     """The tree with neighbour sets ``nbrs``, not re-validated: only for the
     working adjacency of a valid tree changed by branch moves."""
-    n = len(nbrs)
     t = Tree.__new__(Tree)
-    t.n = n
-    t.edges = frozenset((u, w) for u in range(n) for w in nbrs[u] if u < w)
+    t.n = len(nbrs)
     t._adj = tuple(tuple(sorted(ws)) for ws in nbrs)
     t._code = None
     return t
@@ -376,47 +378,6 @@ def _strip_to_center(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
                     deg[w] -= 1
         layer = nxt
     return sorted(layer)
-
-
-def center(t: Tree) -> tuple[int, ...]:
-    """The one or two central nodes (iterated leaf removal)."""
-    return tuple(_strip_to_center(t.n, t._adj))
-
-
-def centroids(t: Tree) -> tuple[int, ...]:
-    """The one or two nodes minimizing the largest component left by their
-    removal."""
-    n = t.n
-    size = [1] * n
-    parent = [-1] * n
-    order = []
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in t.neighbors(u):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    best: list[int] = []
-    best_val = n
-    for v in range(n):
-        heaviest = n - size[v]
-        for w in t.neighbors(v):
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        if heaviest < best_val:
-            best_val = heaviest
-            best = [v]
-        elif heaviest == best_val:
-            best.append(v)
-    return tuple(sorted(best))
 
 
 def _child_codes(adj: Sequence[Iterable[int]], root: int) -> list[list[str]]:

@@ -75,6 +75,8 @@ __all__ = [
 #: the table plus theorem pass took 1.0 s.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
+#: At most this many random extra edges join each sampled graph's tree.
+_MAX_EXTRA_EDGES = 3
 
 
 @dataclass(frozen=True)
@@ -416,25 +418,24 @@ def hasse_diagram(n: int) -> str:
 
 
 def _is_path_graph(g: Graph) -> bool:
-    return len(g.edges) == g.n - 1 and all(g.degree(v) <= 2 for v in range(g.n))
+    degrees = [g.degree(v) for v in range(g.n)]
+    return sum(degrees) == 2 * (g.n - 1) and max(degrees) <= 2
 
 
-def random_connected_graph(
-    n: int, rng: random.Random, max_extra_edges: int = 3
-) -> Graph:
-    """A uniform random labeled tree (via a random Prufer sequence) plus a
-    few random extra edges; resampled until it is not a path."""
+def random_connected_graph(n: int, rng: random.Random) -> Graph:
+    """A uniform random labeled tree (via a random Prufer sequence) plus up
+    to ``_MAX_EXTRA_EDGES`` random extra edges; resampled until it is not a
+    path."""
     if n < 3:
         raise ValueError(f"no connected non-chain graph exists for n={n}")
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while True:
         t = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
-        edges = set(t.edges)
-        non_edges = [e for e in all_pairs if e not in edges]
-        k = rng.randint(0, min(max_extra_edges, len(non_edges)))
-        if k:
-            edges.update(rng.sample(non_edges, k))
-        g = Graph(n, edges)
+        non_edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if v not in t.neighbors(u)
+        ]
+        k = rng.randint(0, min(_MAX_EXTRA_EDGES, len(non_edges)))
+        extra = rng.sample(non_edges, k) if k else []  # no draw when k is 0
+        g = Graph(n, t.sorted_edges() + extra)
         if not _is_path_graph(g):
             return g
 

@@ -20,7 +20,6 @@ from treemajor import (
     delta_census,
     delta_sequence,
     enumerate_trees,
-    enumerate_trees_bruteforce,
     certify_reachability,
     find_move_trace,
     find_unreachable_pair,
@@ -38,6 +37,8 @@ from treemajor import (
     verify_convex_monotonicity,
     verify_majorization_reachability,
 )
+
+from oracles import enumerate_trees_bruteforce
 
 
 def _passed(num: int, text: str) -> None:

@@ -16,7 +16,7 @@ from treemajor import (
     delta_sequence,
     apply_moves,
 )
-from treemajor import cli, enumeration
+from treemajor import cli, enumeration, verify
 from treemajor.cli import main
 
 
@@ -274,10 +274,12 @@ class TestVerify:
     ],
 )
 def test_census_bound_exit_two(capsys, monkeypatch, argv):
-    def no_census(*args):
-        raise AssertionError("generated")
+    # the bound fires before the census is generated or a graph sampled
+    def not_reached(*args):
+        raise AssertionError("reached")
 
-    monkeypatch.setattr(enumeration, "_partitions_desc", no_census)
+    monkeypatch.setattr(enumeration, "_partitions_desc", not_reached)
+    monkeypatch.setattr(verify, "random_connected_graph", not_reached)
     code, out, err = run(capsys, argv[0], str(CENSUS_MAX_NODES + 1), *argv[1:])
     assert code == 2 and out == "" and f"n <= {CENSUS_MAX_NODES}" in err
 

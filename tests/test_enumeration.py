@@ -11,11 +11,9 @@ from treemajor import (
     NotTreeFeasible,
     Tree,
     canonical_code,
-    centroids,
     delta_census,
     delta_sequence,
     enumerate_trees,
-    enumerate_trees_bruteforce,
     is_isomorphic,
     realize_direct,
     star,
@@ -29,6 +27,7 @@ from treemajor.enumeration import (
     _level_sequences,
     _tree_from_levels,
 )
+from oracles import centroids, enumerate_trees_bruteforce
 from test_trees import _rooted_code_reference
 
 # counts of rooted and free trees by node count (standard references; the

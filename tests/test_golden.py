@@ -1,5 +1,6 @@
-"""Golden stdout: the order-diagram and verification commands print
-exactly the bytes pinned here, by SHA-256, in text and structured form.
+"""Golden stdout: the order-diagram, verification, enumeration and
+realization commands print exactly the bytes pinned here, by SHA-256, in
+each of their output forms.
 
 A change that keeps behaviour must leave these digests alone; a change
 that means to alter this output updates them and says so.
@@ -50,6 +51,54 @@ STDOUT_SHA256 = {
     "verify 11 --all --format structured": "b9af180bcbc21ba3c551f8320f91049a603fb3f909f4440a9fe8305a007abf27",
     "verify 12 --all --format text": "b59e859133c22693aa8380b8367ab1241daa27daf767c5da1c2a6e8f72ac7d1a",
     "verify 12 --all --format structured": "cc422eeb1d2316604111f5f3cb2ca08ea4d2aade7f35f823d83de93ad07485eb",
+    "enumerate 1 --format text": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "enumerate 1 --format structured": "1375cb790281a2334fa26800d7663d35dd7838a697d80f263384fc9bf80d8d73",
+    "enumerate 2 --format text": "1e7a4f32fb9185df1c6fd771a5cf931f03681ea1d0ee5e4efb66e78a58277eeb",
+    "enumerate 2 --format structured": "c196faeb357eb83f6efb42c8f4a657c6d6193158790bb29ff3e8f32e149c5ad9",
+    "enumerate 3 --format text": "83d7f914c9996f1148ceff117738d6400b757f76e2691ca04ce3a1b32f7c3234",
+    "enumerate 3 --format structured": "285345133112db31d9251fd0b346927e40e72a7a03568785c7ef2fa3ba1896f9",
+    "enumerate 4 --format text": "01de9c4473498df07c0e5b32c9610c5a05b1c7ca6b47bde722c0595f2fc3edc0",
+    "enumerate 4 --format structured": "b00a2f4d586768eed709dbe8a2c1f852a666f4d13eb1e8dbfe5bb0cc25b0caf9",
+    "enumerate 5 --format text": "968f9fe4cca30186a1b6b8b9e5dbd8bbaa8f667452c65699edd978d721576cf2",
+    "enumerate 5 --format structured": "dce4b0d7f441db16f48164cc0b8ae310c1916d1e92160bde484571cc2473c687",
+    "enumerate 6 --format text": "de5afed205f48181fbfc2d2e0926325c404d63f2dd28f902e80ab1368b4dc4a1",
+    "enumerate 6 --format structured": "d9ee3d7e0b1c4d735800a0d17ec30fd33176d5aff5654156a7ef06264c00bfed",
+    "enumerate 7 --format text": "1830e8ba0d4698b69e58e8b0b195f8abeb9cb440640c783c0e20728e67929920",
+    "enumerate 7 --format structured": "e9849afa27b50d6449f80033212ea5ba21fd9bfa9ec33a9fbbbf9598b9bc93cc",
+    "enumerate 8 --format text": "8eb934a9134f119791d9e6a70c44d2ad851de42393d3bbcdc4603aaa356b9bf9",
+    "enumerate 8 --format structured": "f1590bc2b9cec136827465085aa1f663a64476679a72ea1e925af2671b19c2fb",
+    "enumerate 9 --format text": "f359fa478647224cd2ba440d3b565367ff9af6f3e88d4dc08b9503716d3fdf39",
+    "enumerate 9 --format structured": "498992d980567babf774396397371622b1feaf44c869f1afba41382934f6ffdd",
+    "enumerate 10 --format text": "0b766f8e9bafba663978b36025e12c9ecd2929903352e62f8f651c8bd6d89db4",
+    "enumerate 10 --format structured": "98ea3a7862e2a111055684ad4527871d6917eafb223bbc6b8dae6f1cc7349b70",
+    "enumerate 11 --format text": "828a5858822cab63b181985b934c4cdef6e9f3025af5d658114514b4250a3754",
+    "enumerate 11 --format structured": "78e8377328de7f660ec286d47b2c47d7fe127a3eb5bc6612f02bd8c93865508c",
+    "enumerate 12 --format text": "9636aee6848ebbe2886d5e580f7e31bedf76f0115100cea0a03dbea68f9d681f",
+    "enumerate 12 --format structured": "da53b68c63465d6d42deccaf43abfc0f59a8dd145a52d49db373f9ab813c9806",
+    "realize 7,1,1,1,1,1,1,1 --method chain --format text": "9a636db22fa724735d5997171554439d51a0250afb7ddaa0256c25a77373785b",
+    "realize 7,1,1,1,1,1,1,1 --method chain --format structured": "92f5b72c71d334e61b564d592db6316177641e1b71500c09c4db47cd896f284f",
+    "realize 7,1,1,1,1,1,1,1 --method chain --format dot": "197cb642b857c5c9fe65f63bb1eaec38b16618a5a6912a3e3c959447ae24f749",
+    "realize 7,1,1,1,1,1,1,1 --method direct --format text": "fd7f0519939f1adca2f2dafe0b16da11b6ba80efd83b35f65ca13dde06872eca",
+    "realize 7,1,1,1,1,1,1,1 --method direct --format structured": "68d8d9b1f00aa328aee94f19458c6538afb14f243524269d8b130a64415b342a",
+    "realize 7,1,1,1,1,1,1,1 --method direct --format dot": "c816759af3bd604ce21a32e7c1e9ec7a4abe6371b3d42566875ef1f2bc7b0436",
+    "realize 3,3,3,1,1,1,1,1 --method chain --format text": "665df1a4abb7b9de33ccf6d2c279d70f15665e8ce4d9319bef774cdd420f67ed",
+    "realize 3,3,3,1,1,1,1,1 --method chain --format structured": "21f91ab3777e8013b78b6f378bd78502d435e67a6e7ebbfe9301f69faeaba0a2",
+    "realize 3,3,3,1,1,1,1,1 --method chain --format dot": "3bb1b844f3ca01733a1f40774ac1446a943c9710c21deff3b79688ffd4db76d3",
+    "realize 3,3,3,1,1,1,1,1 --method direct --format text": "7b803a13e1a8be240e6b8d6c32306100544a6184ae70ad94854a32bfeba67059",
+    "realize 3,3,3,1,1,1,1,1 --method direct --format structured": "f42850b652819b899d7f4c89007f34b917c45b0fc052ca43952a6ec38f167ff8",
+    "realize 3,3,3,1,1,1,1,1 --method direct --format dot": "add9db2c6cd7c84e9c151b1661b4cb69467d481b0ca8bc71c6bdee1e887a960a",
+    "realize 5,2,2,1,1,1,1,1 --method chain --format text": "ec2c6827bb285a5617204b53884cec6ecc18bd4c564570bfd8620489a9e9a56a",
+    "realize 5,2,2,1,1,1,1,1 --method chain --format structured": "ac2f5ba744a18f38d4834064e3c83de24ec60dc296020d7909453a84517ac021",
+    "realize 5,2,2,1,1,1,1,1 --method chain --format dot": "5f9912ec34070e7e419ceccb13680a9d69d9e175a9069aa38924473e4ea8fdb9",
+    "realize 5,2,2,1,1,1,1,1 --method direct --format text": "b45b589d5d7a4adbcb3cbe8f63e0aa0f3c1489d6d5dccd5db3402b3d9ff0b31d",
+    "realize 5,2,2,1,1,1,1,1 --method direct --format structured": "a9c817c633debe2fb85a5a2cad1b9033492dcef415a28fcd87e1f41caec52d67",
+    "realize 5,2,2,1,1,1,1,1 --method direct --format dot": "d573f114eedbd6ebf53aecab6c7774e04cd407032ebe430d515587bec6df54a5",
+    "realize 4,3,3,2,1,1,1,1,1,1 --method chain --format text": "71049cd41f10c5c6455a57aefedac0407af1472991c4be1ae2e490f2826b7a8f",
+    "realize 4,3,3,2,1,1,1,1,1,1 --method chain --format structured": "6e1c88aefe1f3b4d1999a47e958989c2ec62db058a7379a29bddc32adea2a757",
+    "realize 4,3,3,2,1,1,1,1,1,1 --method chain --format dot": "880fa6fcb9fc44dbe068c9ed5515d155591f348f766a3613041c1b0f2928367e",
+    "realize 4,3,3,2,1,1,1,1,1,1 --method direct --format text": "4ef4f0cd3ad7d0c4433d8d7b4b771e79197fd77f70a5742e21b11fcbf53cfd97",
+    "realize 4,3,3,2,1,1,1,1,1,1 --method direct --format structured": "fffa3e9174fb11f6f8ddf9e5d71f47f63c645e1853f30dfb935a691037456266",
+    "realize 4,3,3,2,1,1,1,1,1,1 --method direct --format dot": "ef44f8f2fd37144aa26e0303e66d4cd444b72071ca448cb980759081df4d7ee3",
 }
 
 

@@ -1,17 +1,21 @@
 """Module boundaries inside the package: no module reaches into another
-module's private names or another object's private attributes."""
+module's private names or another object's private attributes, and the
+package exports exactly the modules' public names."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import treemajor
+from treemajor import errors
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treemajor"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-# The brute-force enumeration oracle codes plain Prufer adjacency lists
-# without building a Tree for each of the n^(n-2) labeled trees.
-ALLOWED_PRIVATE_IMPORTS = {("enumeration", "trees", "_free_code_adj")}
+ALLOWED_PRIVATE_IMPORTS = set()
 
 
 def _private(name: str) -> bool:
@@ -54,6 +58,25 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_private_imports_across_modules(path):
     assert set(private_imports(path)) <= ALLOWED_PRIVATE_IMPORTS
+
+
+def test_package_exports_are_the_module_exports():
+    # each module's __all__, plus the exception classes of errors.py
+    exported = {
+        k for k, v in vars(treemajor).items()
+        if not k.startswith("_") and not isinstance(v, ModuleType)
+    }
+    declared = {
+        name
+        for p in MODULES
+        if p.stem != "__init__"
+        for name in getattr(importlib.import_module(f"treemajor.{p.stem}"), "__all__", [])
+    }
+    exceptions = {
+        k for k, v in vars(errors).items()
+        if isinstance(v, type) and issubclass(v, Exception)
+    }
+    assert exported == declared | exceptions
 
 
 OUTSIDE_TREES = [p for p in MODULES if p.stem != "trees"]
