@@ -113,9 +113,12 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
 
     The moves run on a working adjacency (neighbour sets, degree -> heap of
     labels, the descending degree list) with :func:`move_branch`'s search and
-    edge swap; one ``Tree`` is frozen at the end, not re-validated.  A step
-    raises what :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation),
-    or InvalidPlan for ranks outside 1..n or not in receiver-donor order.
+    edge swap.  The search starts at the donor, grows all its branches level
+    by level and stops at the receiver, so a step costs about the nodes
+    nearer the donor than the receiver, and O(1) when they are neighbours.
+    One ``Tree`` is frozen at the end, not re-validated.  A step raises
+    what :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation), or
+    InvalidPlan for ranks outside 1..n or not in receiver-donor order.
     """
     source = delta_sequence(t)
     if source != plan.source:

@@ -188,8 +188,9 @@ def plan_to_dict(plan: TransferPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> TransferPlan:
-    """Inverse of :func:`plan_to_dict`.  The ranks define the plan; recorded
-    ``before``/``after`` sequences that differ from theirs raise InvalidPlan."""
+    """Inverse of :func:`plan_to_dict`.  The ranks define the plan: steps
+    that :func:`replay` rejects, or recorded ``before``/``after`` sequences
+    that differ from theirs, raise InvalidPlan."""
     source, target, raw_steps = dict_fields(data, "plan", "source", "target", "steps")
     fields = [dict_fields(st, "plan step", "i", "j", "before", "after")
               for st in list_of(raw_steps, "plan steps")]
@@ -203,12 +204,9 @@ def plan_from_dict(data: dict) -> TransferPlan:
         target=DeltaSequence(list_of(target, "plan target")),
         steps=steps,
     )
-    try:
-        walk = list(pairwise(plan.sequences()))
-        recorded = [(DeltaSequence(b), DeltaSequence(a)) for b, a in snapshots]
-    except (TreeMajorError, ValueError) as exc:
-        raise InvalidPlan(f"recorded steps cannot be checked: {exc}") from exc
-    for k, (got, rec) in enumerate(zip(walk, recorded), start=1):
+    replay(plan)
+    recorded = [(DeltaSequence(b), DeltaSequence(a)) for b, a in snapshots]
+    for k, (got, rec) in enumerate(zip(pairwise(plan.sequences()), recorded), start=1):
         if got != rec:
             raise InvalidPlan(
                 f"step {k} records {rec[0]} -> {rec[1]}, "

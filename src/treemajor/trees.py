@@ -82,18 +82,6 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-def _reachable_from(adj: Sequence[Sequence[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 class Graph:
     """A connected undirected graph on nodes 0..n-1.
 
@@ -113,7 +101,7 @@ class Graph:
         norm = _normalize_edges(n, edges)
         self._check_edge_count(n, len(norm))
         adj = _adjacency(n, norm)
-        if len(_reachable_from(adj, 0)) != n:
+        if -1 in _branch_sides(adj, 0):
             raise NotConnected(f"{len(norm)} edges do not connect all {n} nodes")
         self.n = n
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
@@ -204,9 +192,13 @@ def delta_sequence(g: Graph) -> DeltaSequence:
     return DeltaSequence(g.degree(v) for v in range(g.n))
 
 
-def _branch_sides(adj: Sequence[Sequence[int]], root: int) -> list[int]:
-    # one search from the root labels each other node with the gateway whose
-    # branch holds it; the root is labelled with itself
+def _branch_sides(
+    adj: Sequence[Iterable[int]], root: int, stop: int | None = None
+) -> list[int]:
+    # one breadth-first search from the root labels each node it reaches with
+    # the gateway whose branch holds it (the root with itself, an unreached
+    # node -1); all branches grow level by level, so a search that ends once
+    # ``stop`` is labelled visits no node farther from the root than it
     side = [-1] * len(adj)
     side[root] = root
     order = list(adj[root])
@@ -216,6 +208,8 @@ def _branch_sides(adj: Sequence[Sequence[int]], root: int) -> list[int]:
         for w in adj[u]:
             if side[w] < 0:
                 side[w] = side[u]
+                if w == stop:
+                    return side
                 order.append(w)
     return side
 
@@ -254,19 +248,10 @@ def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
 
 
 def neighbor_toward(nbrs: Sequence[set[int]], node: int, target: int) -> int:
-    """The neighbour of ``node`` on its path to ``target`` (not ``node``),
-    by a search from ``target`` that stops on reaching ``node``."""
-    if node in nbrs[target]:
-        return target
-    seen, stack = {target}, [target]
-    while True:
-        u = stack.pop()
-        for w in nbrs[u]:
-            if w == node:
-                return u
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    """The neighbour of ``node`` on its path to ``target`` (not ``node``):
+    the gateway of the one branch of ``node`` that holds ``target``, found
+    by the branch search from ``node`` that stops at ``target``."""
+    return target if target in nbrs[node] else _branch_sides(nbrs, node, target)[target]
 
 
 def move_edge(nbrs: Sequence[set[int]], donor: int, gateway: int, target: int) -> None:

@@ -1,10 +1,11 @@
 """Slow independent oracles shared by the tests: the centroids of a built
-tree from its subtree sizes, and every free tree class from all Prufer
-sequences."""
+tree from its subtree sizes, every free tree class from all Prufer
+sequences, and the branch searches and branch move by depth-first search
+from the far side."""
 
 from itertools import product
 
-from treemajor import Tree
+from treemajor import DegreeRuleViolation, DonorIsLeaf, Tree, WouldDisconnect
 from treemajor.enumeration import _prufer_edges
 from treemajor.trees import _free_code_adj
 
@@ -63,3 +64,62 @@ def enumerate_trees_bruteforce(n: int) -> list[Tree]:
         if code not in reps:
             reps[code] = Tree(n, edges)
     return [reps[code] for code in sorted(reps)]
+
+
+def neighbor_toward_reference(nbrs, node: int, target: int) -> int:
+    """Oracle for neighbor_toward: a depth-first search from ``target`` that
+    stops on reaching ``node``; the node it came from is the neighbour."""
+    if node in nbrs[target]:
+        return target
+    seen, stack = {target}, [target]
+    while True:
+        u = stack.pop()
+        for w in nbrs[u]:
+            if w == node:
+                return u
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+
+
+def branch_members_reference(t: Tree, root: int, gateway: int) -> frozenset[int]:
+    """Oracle for branch_members: a depth-first search from the gateway that
+    never crosses back to the root."""
+    edge = (root, gateway) if root < gateway else (gateway, root)
+    if edge not in t.edges:
+        raise ValueError(f"no edge between {root} and {gateway}")
+    seen = {gateway}
+    stack = [gateway]
+    while stack:
+        u = stack.pop()
+        for w in t.neighbors(u):
+            if u == gateway and w == root:
+                continue
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def move_branch_reference(t: Tree, donor, gateway, target, enforce_degree_rule=True) -> Tree:
+    """Oracle for move_branch: the same checks in the same order, with the
+    moved branch found by the reference search and the result rebuilt by
+    the validating Tree constructor."""
+    if type(donor) is not int or type(gateway) is not int or type(target) is not int:
+        raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
+    members = branch_members_reference(t, donor, gateway)  # also checks the edge
+    if t.degree(donor) < 2:
+        raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
+    if target == donor:
+        raise ValueError("target must differ from donor")
+    if not (0 <= target < t.n):
+        raise ValueError(f"node {target} outside labels 0..{t.n - 1}")
+    if target in members:
+        raise WouldDisconnect(f"target {target} lies inside the branch being moved")
+    if enforce_degree_rule and t.degree(target) < t.degree(donor):
+        raise DegreeRuleViolation(
+            f"target degree {t.degree(target)} < donor degree {t.degree(donor)}"
+        )
+    old = (donor, gateway) if donor < gateway else (gateway, donor)
+    new = (target, gateway) if target < gateway else (gateway, target)
+    return Tree(t.n, (t.edges - {old}) | {new})

@@ -1,15 +1,19 @@
 """Golden stdout: the order-diagram, verification, enumeration and
 realization commands print exactly the bytes pinned here, by SHA-256, in
-each of their output forms.
+each of their output forms.  One more digest pins a plan replay from a
+random tree, which the chain-sourced realizations never exercise.
 
 A change that keeps behaviour must leave these digests alone; a change
 that means to alter this output updates them and says so.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
+from treemajor import delta_sequence, plan_transfers, replay_plan_on_tree, star, tree_from_prufer
 from treemajor.cli import main
 
 STDOUT_SHA256 = {
@@ -107,3 +111,18 @@ def test_stdout_matches_digest(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+def test_replay_from_a_uniform_tree_matches_digest():
+    # 949 of the 1,991 steps move a branch to a receiver that is not the
+    # donor's neighbour; every receiver in the realize digests above is one
+    n = 2000
+    rng = random.Random(n)
+    t = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
+    trace = replay_plan_on_tree(t, plan_transfers(delta_sequence(t), delta_sequence(star(n))))
+    assert len(trace.moves) == 1991
+    pinned = json.dumps([trace.moves, trace.final.sorted_edges()]).encode()
+    assert (
+        hashlib.sha256(pinned).hexdigest()
+        == "4e4b5800bc94a747b287dbe359c0121bcc583786548fae5f596d73674d9c27bc"
+    )

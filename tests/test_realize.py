@@ -19,15 +19,14 @@ from treemajor import (
     TransferPlan,
     TransferStep,
     apply_moves,
-    branches_at,
     canonical_code,
     chain,
     compare,
     delta_census,
     delta_sequence,
+    enumerate_trees,
     format_trace,
     is_isomorphic,
-    move_branch,
     parse_trace,
     plan_from_dict,
     plan_to_dict,
@@ -42,13 +41,14 @@ from treemajor import (
     tree_from_prufer,
     trees_with_delta,
 )
+from oracles import branch_members_reference, move_branch_reference
 
 
 def _replay_reference(t, plan):
     """Slow reference for replay_plan_on_tree: scan every node for each
-    pick, compute every branch of the donor, and build a new tree with
-    move_branch on each move (itself checked against a re-validating
-    reference in test_trees.py)."""
+    pick, search the donor's branches from their gateways in ascending
+    order, and rebuild a validated tree on each move, with the test
+    oracles for branch members and moves, not the library's search."""
 
     def pick(cur, degree, exclude=None):
         for v in range(cur.n):
@@ -62,11 +62,12 @@ def _replay_reference(t, plan):
     for step, (before, after) in zip(plan.steps, pairwise(plan.sequences())):
         receiver = pick(cur, before[step.receiver_rank - 1])
         donor = pick(cur, before[step.donor_rank - 1], exclude=receiver)
-        branch = next(
-            b for b in branches_at(cur, donor) if receiver not in b.members
+        gateway = next(
+            gw for gw in cur.neighbors(donor)
+            if receiver not in branch_members_reference(cur, donor, gw)
         )
-        cur = move_branch(cur, donor, branch.gateway, receiver)
-        moves.append((donor, branch.gateway, receiver))
+        cur = move_branch_reference(cur, donor, gateway, receiver)
+        moves.append((donor, gateway, receiver))
         if delta_sequence(cur) != after:
             raise InvalidPlan(f"move left degrees {delta_sequence(cur)}")
     return MoveTrace(initial=t, moves=tuple(moves), final=cur)
@@ -199,6 +200,23 @@ class TestReplayPlanOnTree:
         with pytest.raises(ValueError):
             replay_plan_on_tree(chain(5), plan)
 
+    def test_every_class_to_every_strictly_dominating_target(self):
+        # the replayed plan ends at the target and the checked move loop
+        # accepts its moves, with no class table or reference involved
+        pairs = 0
+        for n in range(2, 12):
+            census = delta_census(n)
+            for t in enumerate_trees(n):
+                source = delta_sequence(t)
+                for target in census:
+                    if compare(source, target) is not ComparisonResult.STRICTLY_BELOW:
+                        continue
+                    trace = replay_plan_on_tree(t, plan_transfers(source, target))
+                    assert delta_sequence(trace.final) == target
+                    assert apply_moves(t, trace.moves) == trace.final
+                    pairs += 1
+        assert pairs == 6586
+
     def test_works_from_any_source_class(self):
         source = DeltaSequence([3, 2, 2, 2, 1, 1, 1])
         target = DeltaSequence([4, 3, 1, 1, 1, 1, 1])
@@ -329,27 +347,20 @@ class TestReplayChecks:
             replay_plan_on_tree(chain(4), plan)
 
     # A step holds only ranks, so a tampered sequence can only arrive in a
-    # serialized plan; it is rejected before a tree is touched.
-    def test_tampered_after(self):
+    # serialized plan; it is rejected on load, before a tree is touched.
+    # The replay tracks the tree's own degrees, so no step can ask for a
+    # degree the tree lacks.
+    @pytest.mark.parametrize("field", ["after", "before"])
+    def test_tampered_after(self, field):
         data = plan_to_dict(
             plan_transfers(
                 DeltaSequence([2, 2, 2, 2, 2, 2, 1, 1]),
                 DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
             )
         )
-        data["steps"][1]["after"] = data["steps"][2]["after"]
+        data["steps"][1][field] = data["steps"][2][field]
         with pytest.raises(InvalidPlan):
-            replay_plan_on_tree(chain(8), plan_from_dict(data))
-
-    def test_no_node_of_required_degree(self):
-        # chain(5) has no node of degree 3, yet the step claims one
-        s = delta_sequence(chain(5))
-        data = plan_to_dict(TransferPlan(s, s, ()))
-        data["steps"] = [
-            {"i": 1, "j": 2, "before": [3, 2, 1, 1, 1], "after": list(s.values)}
-        ]
-        with pytest.raises(InvalidPlan):
-            replay_plan_on_tree(chain(5), plan_from_dict(data))
+            plan_from_dict(data)
 
 
 class TestRealizeLargeN:

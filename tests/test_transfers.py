@@ -11,6 +11,7 @@ from treemajor import (
     DeltaSequence,
     DonorWouldVanish,
     InvalidPlan,
+    NonPositiveDegree,
     NotMajorized,
     ParseError,
     SameRank,
@@ -331,3 +332,31 @@ class TestSerialization:
         data["steps"][1]["i"], data["steps"][1]["j"] = i, j
         with pytest.raises(InvalidPlan):
             _load(data)
+
+    # each loads as a plan that replay rejects: an empty plan short of its
+    # target, a target of another length, and a receiver rank after the
+    # donor rank whose recorded sequences agree with its ranks
+    @pytest.mark.parametrize(
+        "target, steps",
+        [
+            ([3, 1, 1, 1], []),
+            ([2, 1, 1], []),
+            ([3, 1, 1, 1], [{"i": 2, "j": 1, "before": [2, 2, 1, 1], "after": [3, 1, 1, 1]}]),
+        ],
+        ids=["empty-plan-short-of-target", "target-of-another-length", "receiver-after-donor"],
+    )
+    def test_dict_rejects_a_plan_replay_rejects(self, target, steps):
+        with pytest.raises(InvalidPlan):
+            plan_from_dict({"source": [2, 2, 1, 1], "target": target, "steps": steps})
+
+    @pytest.mark.parametrize("field", ["source", "before"])
+    def test_dict_rejects_a_zero_degree_in_any_sequence(self, field):
+        data = plan_to_dict(
+            plan_transfers(DeltaSequence([2, 2, 1, 1]), DeltaSequence([3, 1, 1, 1]))
+        )
+        if field == "before":
+            data["steps"][0]["before"] = [3, 2, 1, 0]
+        else:
+            data["source"] = [3, 2, 1, 0]
+        with pytest.raises(NonPositiveDegree):
+            plan_from_dict(data)

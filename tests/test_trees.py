@@ -36,55 +36,17 @@ from treemajor import (
     tree_to_dict,
     tree_to_dot,
 )
-from treemajor.trees import freeze_tree, move_codes
-from oracles import centroids
+from treemajor.trees import freeze_tree, move_codes, neighbor_toward
+from oracles import (
+    branch_members_reference,
+    centroids,
+    move_branch_reference,
+    neighbor_toward_reference,
+)
 
 
 def relabel(t: Tree, perm: dict[int, int]) -> Tree:
     return Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges])
-
-
-def _branch_members_reference(t, root, gateway):
-    """Oracle for branch_members: a depth-first search from the gateway that
-    never crosses back to the root."""
-    edge = (root, gateway) if root < gateway else (gateway, root)
-    if edge not in t.edges:
-        raise ValueError(f"no edge between {root} and {gateway}")
-    seen = {gateway}
-    stack = [gateway]
-    while stack:
-        u = stack.pop()
-        for w in t.neighbors(u):
-            if u == gateway and w == root:
-                continue
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
-
-
-def _move_branch_reference(t, donor, gateway, target, enforce_degree_rule=True):
-    """Oracle for move_branch: the same checks in the same order, with the
-    moved branch found by the reference search and the result rebuilt by
-    the validating Tree constructor."""
-    if type(donor) is not int or type(gateway) is not int or type(target) is not int:
-        raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
-    members = _branch_members_reference(t, donor, gateway)  # also checks the edge
-    if t.degree(donor) < 2:
-        raise DonorIsLeaf(f"node {donor} is a leaf; removing its branch strands it")
-    if target == donor:
-        raise ValueError("target must differ from donor")
-    if not (0 <= target < t.n):
-        raise ValueError(f"node {target} outside labels 0..{t.n - 1}")
-    if target in members:
-        raise WouldDisconnect(f"target {target} lies inside the branch being moved")
-    if enforce_degree_rule and t.degree(target) < t.degree(donor):
-        raise DegreeRuleViolation(
-            f"target degree {t.degree(target)} < donor degree {t.degree(donor)}"
-        )
-    old = (donor, gateway) if donor < gateway else (gateway, donor)
-    new = (target, gateway) if target < gateway else (gateway, target)
-    return Tree(t.n, (t.edges - {old}) | {new})
 
 
 def _outcome(move, t, *args):
@@ -167,7 +129,7 @@ def _legal_moves_reference(t: Tree) -> list[tuple[int, int, int]]:
         if t.degree(donor) < 2:
             continue
         for gw in t.neighbors(donor):
-            members = _branch_members_reference(t, donor, gw)
+            members = branch_members_reference(t, donor, gw)
             for target in range(t.n):
                 if target == donor or target in members or t.degree(target) < t.degree(donor):
                     continue
@@ -301,11 +263,36 @@ class TestBranches:
     def test_match_the_depth_first_reference(self, n):
         for t in enumerate_trees(n):
             for m in range(n):
-                want = [(c, _branch_members_reference(t, m, c)) for c in t.neighbors(m)]
+                want = [(c, branch_members_reference(t, m, c)) for c in t.neighbors(m)]
                 assert [(c, branch_members(t, m, c)) for c in t.neighbors(m)] == want
                 assert [(b.root, b.gateway, b.members) for b in branches_at(t, m)] == [
                     (m, c, members) for c, members in want
                 ]
+
+
+class TestNeighborTowardAgainstReference:
+    """The search from ``node`` that stops at ``target`` names the same
+    neighbour as the reference search from ``target``."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_ordered_pair_on_every_class(self, n):
+        for t in enumerate_trees(n):
+            nbrs = [set(t.neighbors(v)) for v in range(n)]
+            for node, target in itertools.permutations(range(n), 2):
+                want = neighbor_toward_reference(nbrs, node, target)
+                assert neighbor_toward(nbrs, node, target) == want
+
+    def test_seeded_prufer_trees(self):
+        # random pairs, and pairs from the largest hub, whose many branches
+        # the search grows together
+        rng = random.Random(500)
+        for t in _seeded_prufer_trees(40, 500, seed=500):
+            nbrs = [set(t.neighbors(v)) for v in range(t.n)]
+            hub = max(range(t.n), key=t.degree)
+            for node in rng.choices(range(t.n), k=30) + [hub] * 10:
+                target = rng.choice([v for v in range(t.n) if v != node])
+                want = neighbor_toward_reference(nbrs, node, target)
+                assert neighbor_toward(nbrs, node, target) == want
 
 
 class TestMoveBranch:
@@ -370,7 +357,7 @@ class TestMovePathAgainstReference:
         for t in enumerate_trees(n):
             for mv in itertools.product(labels, repeat=3):
                 for rule in (False, True):
-                    want = _outcome(_move_branch_reference, t, *mv, rule)
+                    want = _outcome(move_branch_reference, t, *mv, rule)
                     got = _outcome(move_branch, t, *mv, rule)
                     if isinstance(want, Tree):
                         _assert_same_tree(got, want)
@@ -380,7 +367,7 @@ class TestMovePathAgainstReference:
     @pytest.mark.parametrize("mv", [(1, 2, 3.0), (True, 2, 3), (1, "2", 3)])
     def test_non_int_labels(self, mv):
         t = star(5)
-        assert _outcome(move_branch, t, *mv) == _outcome(_move_branch_reference, t, *mv)
+        assert _outcome(move_branch, t, *mv) == _outcome(move_branch_reference, t, *mv)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -395,7 +382,7 @@ class TestMovePathAgainstReference:
             if not legal:
                 break
             mv = data.draw(st.sampled_from(legal))
-            nxt = _move_branch_reference(cur, *mv)
+            nxt = move_branch_reference(cur, *mv)
             _assert_same_tree(move_branch(cur, *mv), nxt)
             cur = nxt
             moves.append(mv)
@@ -419,7 +406,7 @@ class TestMovePathAgainstReference:
     def test_apply_moves_checks_each_move_as_move_branch_does(self, t):
         labels = range(-1, t.n + 1)
         for mv in itertools.product(labels, repeat=3):
-            want = _outcome(_move_branch_reference, t, *mv)
+            want = _outcome(move_branch_reference, t, *mv)
             got = _outcome(apply_moves, t, [mv])
             if isinstance(want, Tree):
                 _assert_same_tree(got, want)
