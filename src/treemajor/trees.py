@@ -335,69 +335,52 @@ def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode, l
     """(move, code, nbrs) for each of :func:`legal_moves`, in its order:
     ``code`` is the canonical code of the moved tree and ``nbrs`` its
     neighbour sets, valid only until the next step.  Each move is made on
-    one working adjacency, coded and undone, with no tree built."""
+    one working adjacency and degree list, coded and undone, with no tree
+    built."""
     nbrs = [set(ws) for ws in t._adj]
+    deg = [len(ws) for ws in t._adj]
     for donor, gw, target in legal_moves(t):
         move_edge(nbrs, donor, gw, target)
-        yield (donor, gw, target), _free_code_adj(t.n, nbrs), nbrs
+        deg[donor] -= 1
+        deg[target] += 1
+        yield (donor, gw, target), _peel_code(nbrs, deg[:]), nbrs
         move_edge(nbrs, target, gw, donor)
+        deg[donor] += 1
+        deg[target] -= 1
 
 
-def _strip_to_center(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    if n == 1:
-        return [0]
-    deg = [len(adj[v]) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
+def _peel_code(adj: Sequence[Iterable[int]], deg: list[int]) -> CanonicalCode:
+    # Peels leaves layer by layer, using up ``deg`` (each node's degree).  A
+    # node is coded when it is peeled: its children are peeled already and
+    # its one unpeeled neighbour is its parent.  The one or two nodes left
+    # are the centre.  A leaf's code "()" sorts after every other code, which
+    # starts with "((", so leaves are only counted: a node's code is its
+    # sorted non-leaf child codes, then one "()" per leaf child, in brackets.
+    n = len(adj)
+    kids: list[list[str]] = [[] for _ in range(n)]
+    leaves = [0] * n
+    layer = [v for v in range(n) if deg[v] < 2]  # built before any peeling
     remaining = n
     while remaining > 2:
+        leafy = remaining == n  # the first layer: only the leaves
         remaining -= len(layer)
         nxt = []
         for v in layer:
             deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-                elif deg[w] == 1:
-                    deg[w] -= 1
+            for p in adj[v]:
+                if deg[p]:
+                    break
+            if leafy:
+                leaves[p] += 1
+            else:
+                kids[v].sort()
+                kids[p].append("(" + "".join(kids[v]) + "()" * leaves[v] + ")")
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
         layer = nxt
-    return sorted(layer)
-
-
-def _child_codes(adj: Sequence[Iterable[int]], root: int) -> list[list[str]]:
-    # One pass: a BFS order and parents from the root, then, walking that
-    # order backwards, each node's sorted child codes wrapped in parentheses
-    # and appended to its parent's list.  Sorting makes the encoding
-    # invariant under sibling order and relabeling.
-    parent = [-1] * len(adj)
-    order = [root]
-    for v in order:
-        p = parent[v]
-        for w in adj[v]:
-            if w != p:
-                parent[w] = v
-                order.append(w)
-    kids: list[list[str]] = [[] for _ in adj]
-    for v in order[:0:-1]:
-        codes = kids[v]
-        codes.sort()
-        kids[parent[v]].append("(" + "".join(codes) + ")")
-    kids[root].sort()
-    return kids
-
-
-def _free_code_adj(n: int, adj: Sequence[Iterable[int]]) -> CanonicalCode:
-    ctr = _strip_to_center(n, adj)
-    c1 = ctr[0]
-    kids = _child_codes(adj, c1)
-    if len(ctr) == 1:
-        return "1(" + "".join(kids[c1]) + ")"
-    # rooted once at c1: c2's code is one half, c1's other children the other
-    h2 = "(" + "".join(kids[ctr[1]]) + ")"
-    kids[c1].remove(h2)
-    h1 = "(" + "".join(kids[c1]) + ")"
-    return "2" + h1 + h2 if h1 <= h2 else "2" + h2 + h1
+    halves = sorted("(" + "".join(sorted(kids[c])) + "()" * leaves[c] + ")" for c in layer)
+    return str(len(halves)) + "".join(halves)
 
 
 def canonical_code(t: Tree) -> CanonicalCode:
@@ -407,7 +390,7 @@ def canonical_code(t: Tree) -> CanonicalCode:
     between them is split and the two halves are encoded in sorted order.
     """
     if t._code is None:
-        t._code = _free_code_adj(t.n, t._adj)
+        t._code = _peel_code(t._adj, [len(ws) for ws in t._adj])
     return t._code
 
 

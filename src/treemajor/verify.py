@@ -70,9 +70,11 @@ __all__ = [
 
 #: Reachability closures enumerate every tree class of the given size.  The
 #: budget is under 1 s for every reachability operation at the bound on a
-#: 2-vCPU machine: at n=12 the cold class table plus theorem pass took 0.4 s
-#: and the largest negative certificate (its table build) 0.37 s; at n=13
-#: the table plus theorem pass took 1.0 s.
+#: 2-vCPU machine: at n=12 the cold class table plus theorem pass took
+#: 0.20-0.27 s, and the largest negative certificate (a 525-class closure)
+#: 0.26-0.30 s to build and 0.21-0.23 s to check; at n=13 the table plus
+#: theorem pass took 0.64-0.85 s, too close to the budget for a machine
+#: whose speed wanders by 15-40%.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
 #: At most this many random extra edges join each sampled graph's tree.
@@ -143,7 +145,8 @@ def _class_graph(n: int):
     order.  Raises BoundExceeded above REACHABILITY_MAX_NODES.
 
     A move that does not strictly raise the degree sequence is a library
-    defect and raises RuntimeError before its target's bits are read.  All
+    defect and raises RuntimeError before its target's bits are read; each
+    distinct (sequence, successor sequence) pair is compared once.  All
     others raise the strictly Schur-convex sum(d*d), so descending sum(d*d)
     is a topological order of the class DAG: successors finish first.
     """
@@ -154,15 +157,20 @@ def _class_graph(n: int):
     members: dict[DeltaSequence, list[int]] = {}
     for k, d in enumerate(deltas):
         members.setdefault(d, []).append(k)
+    first = [members[d][0] for d in deltas]  # each sequence named by its first class
+    risen = set()  # (sequence, successor sequence) pairs that passed
     reach = [1 << k for k in range(len(classes))]
     for k in sorted(range(len(deltas)), key=lambda k: -sum(d * d for d in deltas[k])):
         for code in _successor_codes(classes[k]):
             j = index[code]
-            if compare(deltas[k], deltas[j]) is not ComparisonResult.STRICTLY_BELOW:
-                raise RuntimeError(
-                    f"degree-rule move did not raise the degree sequence: "
-                    f"{deltas[k]} -> {deltas[j]}"
-                )
+            pair = (first[k], first[j])
+            if pair not in risen:
+                if compare(deltas[k], deltas[j]) is not ComparisonResult.STRICTLY_BELOW:
+                    raise RuntimeError(
+                        f"degree-rule move did not raise the degree sequence: "
+                        f"{deltas[k]} -> {deltas[j]}"
+                    )
+                risen.add(pair)
             reach[k] |= reach[j]
     return classes, index, reach, members
 

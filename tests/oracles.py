@@ -7,7 +7,7 @@ from itertools import product
 
 from treemajor import DegreeRuleViolation, DonorIsLeaf, Tree, WouldDisconnect
 from treemajor.enumeration import _prufer_edges
-from treemajor.trees import _free_code_adj
+from treemajor.trees import _peel_code
 
 
 def centroids(t: Tree) -> tuple[int, ...]:
@@ -60,7 +60,7 @@ def enumerate_trees_bruteforce(n: int) -> list[Tree]:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        code = _free_code_adj(n, adj)
+        code = _peel_code(adj, [len(ws) for ws in adj])
         if code not in reps:
             reps[code] = Tree(n, edges)
     return [reps[code] for code in sorted(reps)]

@@ -1,7 +1,8 @@
 """Golden stdout: the order-diagram, verification, enumeration and
 realization commands print exactly the bytes pinned here, by SHA-256, in
-each of their output forms.  One more digest pins a plan replay from a
-random tree, which the chain-sourced realizations never exercise.
+each of their output forms.  Two more digests pin a plan replay from a
+random tree, which the chain-sourced realizations never exercise, and the
+canonical code of every successor that the exhaustive search reads.
 
 A change that keeps behaviour must leave these digests alone; a change
 that means to alter this output updates them and says so.
@@ -13,8 +14,16 @@ import random
 
 import pytest
 
-from treemajor import delta_sequence, plan_transfers, replay_plan_on_tree, star, tree_from_prufer
+from treemajor import (
+    delta_sequence,
+    enumerate_trees,
+    plan_transfers,
+    replay_plan_on_tree,
+    star,
+    tree_from_prufer,
+)
 from treemajor.cli import main
+from treemajor.trees import move_codes
 
 STDOUT_SHA256 = {
     "hasse 3 --format dot": "10c973786810b792efc6a0980f16ff314fed27c38cc52ba037e50555be7d07d4",
@@ -125,4 +134,21 @@ def test_replay_from_a_uniform_tree_matches_digest():
     assert (
         hashlib.sha256(pinned).hexdigest()
         == "4e4b5800bc94a747b287dbe359c0121bcc583786548fae5f596d73674d9c27bc"
+    )
+
+
+def test_successor_codes_match_digest():
+    # every (move, code) pair of every class with n <= 11, in move order:
+    # the exhaustive search reads nothing else of a move
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 12):
+        for t in enumerate_trees(n):
+            pairs = [(mv, code) for mv, code, _ in move_codes(t)]
+            count += len(pairs)
+            digest.update((repr(pairs) + "\n").encode())
+    assert count == 7573
+    assert (
+        digest.hexdigest()
+        == "dda990cd1d1cc8dd5a693af88655b4a8f44520136d472c10ae49dabe112d267e"
     )

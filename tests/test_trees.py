@@ -418,10 +418,21 @@ class TestMovePathAgainstReference:
             apply_moves(chain(4), [(1, 2)])
 
 
+def _double_broom(path_edges: int, left: int, right: int) -> Tree:
+    """A path 0..path_edges with ``left`` leaves on node 0 and ``right``
+    leaves on the path's far end; bicentral when ``path_edges`` is odd."""
+    edges = [(k, k + 1) for k in range(path_edges)]
+    nxt = path_edges + 1
+    for hub, count in ((0, left), (path_edges, right)):
+        edges += [(hub, leaf) for leaf in range(nxt, nxt + count)]
+        nxt += count
+    return Tree(nxt, edges)
+
+
 class TestCoderAgainstReference:
-    """The one-pass coder (a BFS order, then child codes sorted and joined
-    in reverse order; a bicentral tree rooted once) against the post-order
-    coder it replaced."""
+    """The leaf-peeling coder (leaves peeled layer by layer, each node coded
+    when it is peeled with its leaf children only counted, the one or two
+    nodes left as the centre) against the post-order coder."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_class_at_every_root(self, n):
@@ -431,6 +442,44 @@ class TestCoderAgainstReference:
     def test_seeded_prufer_trees(self):
         for t in _seeded_prufer_trees(500, 200, seed=2024):
             assert canonical_code(t) == _canonical_code_reference(t)
+
+    def test_smallest_trees(self):
+        assert canonical_code(Tree(1, [])) == "1()"
+        assert canonical_code(chain(2)) == "2()()"
+        assert canonical_code(chain(3)) == canonical_code(star(3)) == "1(()())"
+        for t in (Tree(1, []), chain(2), chain(3), Tree(3, [(0, 2), (1, 2)])):
+            assert canonical_code(t) == _canonical_code_reference(t)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_stars(self, n):
+        # the centre's degree reaches 0 while the leaf layer is peeled
+        last = relabel(star(n), {v: (v - 1) % n for v in range(n)})
+        for t in (star(n), last):
+            assert canonical_code(t) == _canonical_code_reference(t)
+
+    def test_chains_of_both_parities(self):
+        for n in range(2, 201):
+            t = chain(n)
+            assert canonical_code(t) == _canonical_code_reference(t)
+            assert canonical_code(t)[0] == "21"[n % 2]
+
+    @pytest.mark.parametrize("path_edges", [1, 3, 5, 7])
+    def test_bicentral_double_brooms(self, path_edges):
+        for left, right in itertools.product(range(1, 5), repeat=2):
+            t = _double_broom(path_edges, left, right)
+            mirrored = relabel(t, {v: t.n - 1 - v for v in range(t.n)})
+            for u in (t, mirrored):
+                assert canonical_code(u) == _canonical_code_reference(u)
+                assert canonical_code(u)[0] == "2"
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rooted_codes_start_with_two_brackets(self, n):
+        # why a leaf's "()" can be written after every sorted sibling code
+        for t in enumerate_trees(n):
+            for root in range(n):
+                for blocked in (None, *t.neighbors(root)):
+                    code = _rooted_code_reference(t, root, blocked)
+                    assert code == "()" or (code.startswith("((") and code < "()")
 
 
 class TestLegalMovesAgainstReference:

@@ -493,6 +493,23 @@ class TestMajorizationReachability:
         with pytest.raises(RuntimeError, match="did not raise the degree sequence"):
             reachable_classes(star(n))
 
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_each_sequence_pair_is_compared_once(self, n, patched_successors):
+        # the check depends only on the two sequences, so one compare per
+        # distinct (sequence, successor sequence) pair decides every move
+        pairs = {
+            (delta_sequence(t), delta_sequence(move_branch(t, *mv)))
+            for t in enumerate_trees(n)
+            for mv in legal_moves(t)
+        }
+        seen = []
+        patched_successors.setattr(
+            verify, "compare", lambda a, b: seen.append((a, b)) or compare(a, b)
+        )
+        verify._class_graph(n)
+        assert len(seen) == len(pairs)
+        assert set(seen) == pairs
+
 
 class TestUnreachablePair:
     def test_known_blocked_pair(self):
