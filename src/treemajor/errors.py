@@ -1,6 +1,23 @@
 """Exception hierarchy shared by all treemajor modules, and the shape checks
 that the dict readers (trees, traces, plans) share."""
 
+__all__ = [
+    "TreeMajorError",
+    "ParseError",
+    "NonPositiveDegree",
+    "NotTreeFeasible",
+    "LengthMismatch",
+    "SameRank",
+    "DonorWouldVanish",
+    "NotMajorized",
+    "InvalidPlan",
+    "WouldDisconnect",
+    "DegreeRuleViolation",
+    "DonorIsLeaf",
+    "NotConnected",
+    "BoundExceeded",
+]
+
 
 class TreeMajorError(Exception):
     """Base class for every domain error raised by this package."""

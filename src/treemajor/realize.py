@@ -118,7 +118,9 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     nearer the donor than the receiver, and O(1) when they are neighbours.
     One ``Tree`` is frozen at the end, not re-validated.  A step raises
     what :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation), or
-    InvalidPlan for ranks outside 1..n or not in receiver-donor order.
+    InvalidPlan for ranks outside 1..n or not in receiver-donor order.  A
+    plan whose steps end anywhere but its target raises InvalidPlan, as in
+    :func:`replay`.
     """
     source = delta_sequence(t)
     if source != plan.source:
@@ -156,6 +158,10 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
         heappush(by_degree.setdefault(donor_value - 1, []), donor)
         transfer_in_place(degrees, i, j)
         moves.append((donor, gateway, receiver))
+    if tuple(degrees) != plan.target.values:
+        raise InvalidPlan(
+            f"replay ends at {DeltaSequence(degrees)}, not the target {plan.target}"
+        )
     return MoveTrace(initial=t, moves=tuple(moves), final=freeze_tree(nbrs))
 
 

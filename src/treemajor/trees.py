@@ -52,11 +52,13 @@ __all__ = [
 CanonicalCode = str
 
 
-def _normalize_edges(
+def _adjacency(
     n: int, edges: Iterable[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
+) -> tuple[list[list[int]], int]:
+    # the sorted neighbour lists and the edge count; edges are checked in
+    # input order, so the first bad edge is the one reported
+    adj: list[list[int]] = [[] for _ in range(n)]
     seen = set()
-    out = []
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
             raise TypeError(f"edge labels must be ints, got ({u!r}, {v!r})")
@@ -68,18 +70,11 @@ def _normalize_edges(
         if e in seen:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
-        out.append(e)
-    return tuple(sorted(out))
-
-
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     for nbrs in adj:
         nbrs.sort()
-    return adj
+    return adj, len(seen)
 
 
 class Graph:
@@ -98,11 +93,10 @@ class Graph:
             raise TypeError(f"node count must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
-        norm = _normalize_edges(n, edges)
-        self._check_edge_count(n, len(norm))
-        adj = _adjacency(n, norm)
+        adj, m = _adjacency(n, edges)
+        self._check_edge_count(n, m)
         if -1 in _branch_sides(adj, 0):
-            raise NotConnected(f"{len(norm)} edges do not connect all {n} nodes")
+            raise NotConnected(f"{m} edges do not connect all {n} nodes")
         self.n = n
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
 

@@ -15,8 +15,6 @@ from treemajor import errors
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treemajor"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-ALLOWED_PRIVATE_IMPORTS = set()
-
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
@@ -57,7 +55,7 @@ def test_package_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_private_imports_across_modules(path):
-    assert set(private_imports(path)) <= ALLOWED_PRIVATE_IMPORTS
+    assert private_imports(path) == []
 
 
 def test_package_exports_are_the_module_exports():
@@ -77,6 +75,61 @@ def test_package_exports_are_the_module_exports():
         if isinstance(v, type) and issubclass(v, Exception)
     }
     assert exported == declared | exceptions
+
+
+# The public surface, module by module: ``from treemajor import *`` binds
+# exactly these names and the submodules, so a name dropped from a
+# module's ``__all__`` shows here.
+PUBLIC_NAMES = {
+    "errors": """BoundExceeded DegreeRuleViolation DonorIsLeaf DonorWouldVanish
+        InvalidPlan LengthMismatch NonPositiveDegree NotConnected NotMajorized
+        NotTreeFeasible ParseError SameRank TreeMajorError WouldDisconnect""",
+    "sequences": """CONVEX_TEST_FAMILY ComparisonResult DeltaSequence LorenzCurve
+        compare convex_functional format_sequence lorenz_curve majorization_gap
+        parse_sequence prefix_sums validate_tree_sequence""",
+    "transfers": """TransferPlan TransferStep basic_transfer format_plan
+        plan_from_dict plan_to_dict plan_transfers replay""",
+    "trees": """Branch CanonicalCode Graph Tree apply_moves branch_members
+        branches_at canonical_code chain complete_graph cycle_graph
+        delta_sequence format_tree is_isomorphic legal_moves move_branch
+        parse_tree star tree_from_dict tree_to_dict tree_to_dot""",
+    "realize": """MoveTrace format_trace parse_trace realize_direct
+        realize_from_chain replay_plan_on_tree trace_from_dict trace_to_dict""",
+    "enumeration": """CENSUS_MAX_NODES MAX_NODES delta_census enumerate_trees
+        tree_from_prufer trees_with_delta""",
+    "verify": """DEFAULT_SEED REACHABILITY_MAX_NODES OrderReport
+        ReachabilityCertificate certify_reachability check_certificate
+        check_total_order closure_is_closed covering_relations find_move_trace
+        find_unreachable_pair hasse_diagram random_connected_graph
+        reachability_closure reachable_classes standard_graph_suite
+        verify_chain_minimality verify_convex_monotonicity
+        verify_majorization_reachability""",
+}
+
+
+def test_star_import_binds_the_pinned_surface():
+    bound = {}
+    exec("from treemajor import *", bound)
+    del bound["__builtins__"]
+    bound.pop("cli", None)  # a package attribute once anything imports it
+    expected = {}
+    for module, names in PUBLIC_NAMES.items():
+        source = importlib.import_module(f"treemajor.{module}")
+        expected[module] = source
+        expected.update((name, getattr(source, name)) for name in names.split())
+    assert len(expected) == 88 + 7
+    assert bound.keys() == expected.keys()
+    for name, value in expected.items():
+        assert bound[name] is value, name
+
+
+def test_errors_exports_exactly_its_exception_classes():
+    exceptions = {
+        k for k, v in vars(errors).items()
+        if isinstance(v, type) and issubclass(v, Exception)
+    }
+    assert len(exceptions) == 14
+    assert sorted(errors.__all__) == sorted(exceptions)
 
 
 OUTSIDE_TREES = [p for p in MODULES if p.stem != "trees"]

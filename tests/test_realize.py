@@ -339,6 +339,16 @@ class TestReplayChecks:
         with pytest.raises(InvalidPlan):
             replay(plan)
 
+    @pytest.mark.parametrize(
+        "target", [delta_sequence(star(5)), DeltaSequence([9, 9])], ids=["star", "length"]
+    )
+    def test_plan_short_of_its_target(self, target):
+        plan = TransferPlan(delta_sequence(chain(5)), target, ())
+        with pytest.raises(InvalidPlan, match="not the target"):
+            replay_plan_on_tree(chain(5), plan)
+        with pytest.raises(InvalidPlan, match="not the target"):
+            replay(plan)
+
     @pytest.mark.parametrize("i, j", [(1, 5), (0, 2), (5, 1)])
     def test_rank_out_of_range(self, i, j):
         s = delta_sequence(chain(4))
