@@ -27,7 +27,6 @@ __all__ = [
     "convex_functional",
     "majorization_gap",
     "parse_sequence",
-    "format_sequence",
 ]
 
 
@@ -237,8 +236,3 @@ def parse_sequence(text: str) -> DeltaSequence:
     Input order is ignored; the result is sorted descending.
     """
     return DeltaSequence(parse_values(text))
-
-
-def format_sequence(s: DeltaSequence) -> str:
-    """Comma-separated text form accepted back by :func:`parse_sequence`."""
-    return str(s)

@@ -33,7 +33,6 @@ __all__ = [
     "star",
     "delta_sequence",
     "branches_at",
-    "branch_members",
     "move_branch",
     "apply_moves",
     "legal_moves",
@@ -206,15 +205,6 @@ def _branch_sides(
                     return side
                 order.append(w)
     return side
-
-
-def branch_members(t: Tree, root: int, gateway: int) -> frozenset[int]:
-    """Node set of the component containing ``gateway`` once edge
-    (root, gateway) is removed."""
-    if not (0 <= root < t.n and gateway in t._adj[root]):
-        raise ValueError(f"no edge between {root} and {gateway}")
-    side = _branch_sides(t._adj, root)
-    return frozenset(v for v in range(t.n) if side[v] == gateway)
 
 
 def branches_at(t: Tree, m: int) -> list[Branch]:

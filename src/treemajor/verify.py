@@ -3,10 +3,10 @@ machine-checkable certificates.
 
 Everything here works over isomorphism classes: reachability under
 degree-rule branch moves is invariant under relabeling, so the state space
-is the set of tree classes rather than labeled trees.  Certificates carry
-either a concrete move trace (positive evidence) or the full closed
-reachable set (negative evidence); :func:`check_certificate` re-verifies
-either kind from scratch.
+is the set of tree classes, whose successors a memo per size codes the
+first time a walk reaches them.  Certificates carry either a concrete move
+trace (positive evidence) or the full closed reachable set (negative
+evidence); :func:`check_certificate` re-verifies either kind from scratch.
 """
 
 from __future__ import annotations
@@ -68,13 +68,12 @@ __all__ = [
     "standard_graph_suite",
 ]
 
-#: Reachability closures enumerate every tree class of the given size.  The
-#: budget is under 1 s for every reachability operation at the bound on a
-#: 2-vCPU machine: at n=12 the cold class table plus theorem pass took
-#: 0.20-0.27 s, and the largest negative certificate (a 525-class closure)
-#: 0.26-0.30 s to build and 0.21-0.23 s to check; at n=13 the table plus
-#: theorem pass took 0.64-0.85 s, too close to the budget for a machine
-#: whose speed wanders by 15-40%.
+#: A reachability walk codes every tree class of its size at worst (the
+#: chain reaches them all).  The budget is under 1 s for every reachability
+#: operation at the bound on a 2-vCPU machine: at n=12 the cold theorem pass
+#: took 0.25-0.33 s, and the largest negative certificate (a 525-class
+#: closure) 0.18-0.26 s to build cold and 0.16-0.22 s to check; at n=13 the
+#: theorem pass took 0.61-0.97 s, too close to the budget.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
 #: At most this many random extra edges join each sampled graph's tree.
@@ -136,43 +135,33 @@ def check_total_order(n: int) -> OrderReport:
 
 
 @lru_cache(maxsize=None)
-def _class_graph(n: int):
-    """Reachability table over the tree classes of size ``n``: (classes,
-    index, reach, members).  One representative per class (move
-    reachability is a class property) in canonical-code order; code ->
-    position; bit j of ``reach[k]`` set iff class j is reachable from class
-    k, itself included; and degree sequence -> its classes' positions, in
-    order.  Raises BoundExceeded above REACHABILITY_MAX_NODES.
-
-    A move that does not strictly raise the degree sequence is a library
-    defect and raises RuntimeError before its target's bits are read; each
-    distinct (sequence, successor sequence) pair is compared once.  All
-    others raise the strictly Schur-convex sum(d*d), so descending sum(d*d)
-    is a topological order of the class DAG: successors finish first.
-    """
+def _classes(n: int):
+    """The reachability memo of size ``n``: code -> representative, in
+    canonical-code order; code -> degree sequence (none at n=1); code ->
+    successor codes, filled by :func:`_successors`; the (sequence, successor
+    sequence) pairs checked.  Raises BoundExceeded above the bound."""
     _require_reachability_bound(n)
-    classes = enumerate_trees(n)
-    index = {canonical_code(t): k for k, t in enumerate(classes)}
-    deltas = [delta_sequence(t) for t in classes if n > 1]  # one node: no sequence
-    members: dict[DeltaSequence, list[int]] = {}
-    for k, d in enumerate(deltas):
-        members.setdefault(d, []).append(k)
-    first = [members[d][0] for d in deltas]  # each sequence named by its first class
-    risen = set()  # (sequence, successor sequence) pairs that passed
-    reach = [1 << k for k in range(len(classes))]
-    for k in sorted(range(len(deltas)), key=lambda k: -sum(d * d for d in deltas[k])):
-        for code in _successor_codes(classes[k]):
-            j = index[code]
-            pair = (first[k], first[j])
-            if pair not in risen:
-                if compare(deltas[k], deltas[j]) is not ComparisonResult.STRICTLY_BELOW:
-                    raise RuntimeError(
-                        f"degree-rule move did not raise the degree sequence: "
-                        f"{deltas[k]} -> {deltas[j]}"
-                    )
-                risen.add(pair)
-            reach[k] |= reach[j]
-    return classes, index, reach, members
+    reps = {canonical_code(t): t for t in enumerate_trees(n)}
+    deltas = {code: delta_sequence(t) for code, t in reps.items() if n > 1}
+    return reps, deltas, {}, set()
+
+
+def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
+    """Successor codes of one class, coded the first time a walk asks.  A
+    move that does not strictly raise the degree sequence is a library
+    defect and raises RuntimeError before the entry is stored; each distinct
+    (sequence, successor sequence) pair is compared once."""
+    reps, deltas, successors, risen = _classes(n)
+    if code not in successors:
+        codes = _successor_codes(reps[code])
+        for a, b in {(deltas[code], deltas[nxt]) for nxt in codes} - risen:
+            if compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
+                raise RuntimeError(
+                    f"degree-rule move did not raise the degree sequence: {a} -> {b}"
+                )
+            risen.add((a, b))
+        successors[code] = codes
+    return successors[code]
 
 
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
@@ -189,15 +178,21 @@ def _require_reachability_bound(n: int) -> None:
 
 def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
     """Canonical codes of every class reachable from ``t`` (including its
-    own) by any number of degree-rule branch moves."""
-    return frozenset(canonical_code(rep) for rep in reachability_closure(t))
+    own) by any number of degree-rule branch moves: one breadth-first walk
+    over the memo of size ``t.n``."""
+    seen = {canonical_code(t)}
+    queue = deque(seen)
+    while queue:
+        for code in _successors(t.n, queue.popleft()):
+            if code not in seen:
+                seen.add(code)
+                queue.append(code)
+    return frozenset(seen)
 
 
 def reachability_closure(t: Tree) -> tuple[Tree, ...]:
     """Representative trees of :func:`reachable_classes`, sorted by code."""
-    classes, index, reach, _ = _class_graph(t.n)
-    bits = reach[index[canonical_code(t)]]
-    return tuple(rep for j, rep in enumerate(classes) if bits >> j & 1)
+    return tuple(_classes(t.n)[0][code] for code in sorted(reachable_classes(t)))
 
 
 def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
@@ -248,7 +243,7 @@ def certify_reachability(
     """Positive (move trace) or negative (closed reachable set) certificate
     for reaching the degree sequence ``target_delta`` from ``t``.  Raises as
     :func:`find_move_trace` does; a target that does not strictly dominate
-    ``delta_sequence(t)`` costs one class-table read and no search."""
+    ``delta_sequence(t)`` costs one closure walk and no search."""
     trace = find_move_trace(t, target_delta)
     closure = reachability_closure(t) if trace is None else None
     return ReachabilityCertificate(
@@ -290,37 +285,38 @@ def check_certificate(cert: ReachabilityCertificate) -> bool:
     return closure_is_closed(closure)
 
 
-def verify_majorization_reachability(
-    n: int,
-) -> tuple[bool, list[ReachabilityCertificate]]:
+def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCertificate]]:
     """Exhaustively check, over all tree classes on ``n`` nodes, that strict
     dominance between census sequences coincides with branch-move
     reachability.
 
     Forward direction: every move strictly raises the degree sequence; the
-    class table checks this as it is built and raises RuntimeError on a
-    violation (a library defect).  Converse: for every census pair a < b
-    and every class with sequence a, some reachable class has sequence b.
-    Each failure, in nested census order then class order, yields a
-    closed-set certificate.  Returns (all_ok, certificates-for-failures).
+    memo checks this as it codes each class's successors and raises
+    RuntimeError on a violation (a library defect).  Converse: for every
+    class T and every cover b of delta(T), one move from T reaches b.  That
+    is exact, since a path to a cover is one move and covers chain every
+    strict pair a < b.  On failure, each class with sequence a that reaches
+    no b yields a closed-set certificate, in nested census order then class
+    order.  Returns (all_ok, certificates-for-failures).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    classes, _, reach, members = _class_graph(n)
+    reps, deltas, _, _ = _classes(n)
     census = delta_census(n)
-    mask = {s: sum(1 << k for k in ks) for s, ks in members.items()}
+    covers = {a: set() for a in census}
+    for a, b in _covers(census):
+        covers[a].add(b)
+    if all(covers[deltas[c]] <= {deltas[x] for x in _successors(n, c)} for c in reps):
+        return (True, [])
     failures = [
         ReachabilityCertificate(
-            source=classes[k],
-            target_delta=b,
-            trace=None,
-            closure=reachability_closure(classes[k]),
+            source=t, target_delta=b, trace=None, closure=reachability_closure(t)
         )
         for a in census
         for b in census
         if compare(a, b) is ComparisonResult.STRICTLY_BELOW
-        for k in members[a]
-        if not reach[k] & mask[b]
+        for code, t in reps.items()
+        if deltas[code] == a and all(deltas[c] != b for c in reachable_classes(t))
     ]
     return (not failures, failures)
 
@@ -345,11 +341,14 @@ def find_unreachable_pair(
         raise NotMajorized(f"{s} is not strictly below {s_prime} ({rel})")
     require_tree_sequence(n, s_prime)
     require_tree_sequence(n, s)
-    classes, _, reach, members = _class_graph(n)
-    for k in members[s]:
-        for j in members[s_prime]:
-            if not reach[k] >> j & 1:
-                return (classes[k], classes[j])
+    reps, deltas, _, _ = _classes(n)
+    targets = [code for code, d in deltas.items() if d == s_prime]
+    for code, d in deltas.items():
+        if d == s:
+            reach = reachable_classes(reps[code])
+            for target in targets:
+                if target not in reach:
+                    return (reps[code], reps[target])
     return None
 
 
@@ -374,10 +373,11 @@ def verify_chain_minimality(n: int, sample_graphs: list[Graph]) -> bool:
 
 def _covers(census: list[DeltaSequence]):
     """Covering pairs (a, b) of the census order, grouped by a in census
-    order, by Brylawski's rule for the dominance lattice of partitions: b is
-    a with one unit moved from position i to an earlier j, where j = i-1 or
-    a_j = a_i, and b is still a tree sequence.  So i ends its run of equal
-    degrees >= 2, and j starts that run, or is i-1 if both runs are single."""
+    order; the theorem pass needs one move per (class, cover).  Brylawski's
+    rule for the dominance lattice of partitions: b is a with one unit moved
+    from position i to an earlier j, where j = i-1 or a_j = a_i, and b is
+    still a tree sequence.  So i ends its run of equal degrees >= 2, and j
+    starts that run, or is i-1 if both runs are single."""
     by_values = {s.values: s for s in census}
     for a in census:
         v = a.values

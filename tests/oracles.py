@@ -83,8 +83,8 @@ def neighbor_toward_reference(nbrs, node: int, target: int) -> int:
 
 
 def branch_members_reference(t: Tree, root: int, gateway: int) -> frozenset[int]:
-    """Oracle for branch_members: a depth-first search from the gateway that
-    never crosses back to the root."""
+    """Oracle for a branch's members in branches_at: a depth-first search
+    from the gateway that never crosses back to the root."""
     edge = (root, gateway) if root < gateway else (gateway, root)
     if edge not in t.edges:
         raise ValueError(f"no edge between {root} and {gateway}")

@@ -2,7 +2,9 @@
 realization commands print exactly the bytes pinned here, by SHA-256, in
 each of their output forms.  Two more digests pin a plan replay from a
 random tree, which the chain-sourced realizations never exercise, and the
-canonical code of every successor that the exhaustive search reads.
+canonical code of every successor that the exhaustive search reads.  The
+last two pin the reachability answers: every certificate for every class
+and census target, and the theorem pass and unreachable pairs.
 
 A change that keeps behaviour must leave these digests alone; a change
 that means to alter this output updates them and says so.
@@ -15,12 +17,19 @@ import random
 import pytest
 
 from treemajor import (
+    ComparisonResult,
+    certify_reachability,
+    check_certificate,
+    compare,
+    delta_census,
     delta_sequence,
     enumerate_trees,
+    find_unreachable_pair,
     plan_transfers,
     replay_plan_on_tree,
     star,
     tree_from_prufer,
+    verify_majorization_reachability,
 )
 from treemajor.cli import main
 from treemajor.trees import move_codes
@@ -151,4 +160,44 @@ def test_successor_codes_match_digest():
     assert (
         digest.hexdigest()
         == "dda990cd1d1cc8dd5a693af88655b4a8f44520136d472c10ae49dabe112d267e"
+    )
+
+
+def test_certificates_match_digest():
+    # the repr and verdict of certify_reachability for every class and
+    # every census target, n = 2..9, in enumeration then census order
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 10):
+        census = delta_census(n)
+        for t in enumerate_trees(n):
+            for target in census:
+                cert = certify_reachability(t, target)
+                digest.update((repr(cert) + repr(check_certificate(cert)) + "\n").encode())
+                count += 1
+    assert count == 1080
+    assert (
+        digest.hexdigest()
+        == "12952fe41be19e3bac7bfa447567397f4728e2feb3813ee69b120a579870fe5c"
+    )
+
+
+def test_theorem_and_unreachable_pairs_match_digest():
+    # the theorem pass for n = 2..12, then find_unreachable_pair for every
+    # strict census pair at n = 7..9 in nested census order
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        digest.update((repr(verify_majorization_reachability(n)) + "\n").encode())
+    count = 0
+    for n in range(7, 10):
+        census = delta_census(n)
+        for a in census:
+            for b in census:
+                if compare(a, b) is ComparisonResult.STRICTLY_BELOW:
+                    digest.update((repr(find_unreachable_pair(n, a, b)) + "\n").encode())
+                    count += 1
+    assert count == 175
+    assert (
+        digest.hexdigest()
+        == "7cce49cd14b16ce49c328337e51016c6f39f0a6d297556f6eaf2d01cb21e9579"
     )

@@ -16,7 +16,6 @@ from treemajor import (
     compare,
     convex_functional,
     delta_census,
-    format_sequence,
     lorenz_curve,
     majorization_gap,
     parse_sequence,
@@ -269,4 +268,4 @@ class TestParsing:
 
     def test_round_trip(self):
         s = DeltaSequence([4, 3, 2, 1, 1, 1])
-        assert parse_sequence(format_sequence(s)) == s
+        assert parse_sequence(str(s)) == s

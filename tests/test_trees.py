@@ -16,7 +16,6 @@ from treemajor import (
     Tree,
     WouldDisconnect,
     apply_moves,
-    branch_members,
     branches_at,
     canonical_code,
     chain,
@@ -255,16 +254,11 @@ class TestBranches:
                     union |= b.members
                 assert union == set(range(n)) - {m}
 
-    def test_missing_edge(self):
-        with pytest.raises(ValueError):
-            branch_members(chain(4), 0, 2)
-
     @pytest.mark.parametrize("n", range(1, 10))
     def test_match_the_depth_first_reference(self, n):
         for t in enumerate_trees(n):
             for m in range(n):
                 want = [(c, branch_members_reference(t, m, c)) for c in t.neighbors(m)]
-                assert [(c, branch_members(t, m, c)) for c in t.neighbors(m)] == want
                 assert [(b.root, b.gateway, b.members) for b in branches_at(t, m)] == [
                     (m, c, members) for c, members in want
                 ]

@@ -94,11 +94,11 @@ def _closure_codes_reference(edges, start):
 @pytest.fixture
 def patched_successors(monkeypatch):
     """The monkeypatch fixture, for a test that patches
-    verify._successor_codes.  The class table is cached per n, so it is
-    cleared before and after, and a patched graph never outlives the test."""
-    verify._class_graph.cache_clear()
+    verify._successor_codes.  The successor memo is cached per n, so it is
+    cleared before and after, and a patched memo never outlives the test."""
+    verify._classes.cache_clear()
     yield monkeypatch
-    verify._class_graph.cache_clear()
+    verify._classes.cache_clear()
 
 
 def _reachability_failures_reference(n, reps, edges):
@@ -479,7 +479,7 @@ class TestMajorizationReachability:
         self, patched_successors
     ):
         # a class listing itself as a successor breaks the forward
-        # direction; the table build checks it, so every reader raises
+        # direction; the memo checks it when a walk first expands the class
         n = 6
         real = verify._successor_codes
         looped = canonical_code(chain(n))
@@ -491,7 +491,7 @@ class TestMajorizationReachability:
         with pytest.raises(RuntimeError, match="did not raise the degree sequence"):
             verify_majorization_reachability(n)
         with pytest.raises(RuntimeError, match="did not raise the degree sequence"):
-            reachable_classes(star(n))
+            reachable_classes(chain(n))
 
     @pytest.mark.parametrize("n", [6, 9])
     def test_each_sequence_pair_is_compared_once(self, n, patched_successors):
@@ -506,9 +506,45 @@ class TestMajorizationReachability:
         patched_successors.setattr(
             verify, "compare", lambda a, b: seen.append((a, b)) or compare(a, b)
         )
-        verify._class_graph(n)
+        verify_majorization_reachability(n)
         assert len(seen) == len(pairs)
         assert set(seen) == pairs
+
+    def test_dropping_a_move_to_a_non_cover_changes_nothing(self, patched_successors):
+        # (4,2,1,1,1,1) is above (3,3,1,1,1,1), which is above (3,2,2,1,1,1),
+        # so the move between the outer two is no cover: the theorem holds
+        # without it, and so does the closure-based reference
+        n = 6
+        low = DeltaSequence([3, 2, 2, 1, 1, 1])
+        (high,) = trees_with_delta(n, DeltaSequence([4, 2, 1, 1, 1, 1]))
+        high_code = canonical_code(high)
+        real = verify._successor_codes
+        source = next(t for t in trees_with_delta(n, low) if high_code in real(t))
+
+        def cut(t):
+            codes = real(t)
+            return codes - {high_code} if t == source else codes
+
+        reps = {canonical_code(t): t for t in enumerate_trees(n)}
+        edges = {code: cut(t) for code, t in reps.items()}
+        patched_successors.setattr(verify, "_successor_codes", cut)
+        assert verify_majorization_reachability(n) == (True, [])
+        assert _reachability_failures_reference(n, reps, edges) == []
+        assert high_code not in verify._successors(n, canonical_code(source))
+
+    def test_a_cold_query_codes_only_its_closure(self, patched_successors):
+        coded = []
+        real = verify._successor_codes
+        patched_successors.setattr(
+            verify, "_successor_codes", lambda t: coded.append(t) or real(t)
+        )
+        n = REACHABILITY_MAX_NODES
+        cert = certify_reachability(star(n), delta_sequence(chain(n)))
+        assert cert.closure == (star(n),)
+        assert coded == [star(n)]
+        coded.clear()
+        verify._classes.cache_clear()
+        assert len(reachability_closure(chain(11))) == len(coded) == 235
 
 
 class TestUnreachablePair:
