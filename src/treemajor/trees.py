@@ -125,15 +125,16 @@ class Tree(Graph):
     """A labeled free tree on nodes 0..n-1: a connected graph with exactly
     n-1 edges.
 
-    Trees compare by value, and the canonical code is computed once on
-    demand and cached.
+    Trees compare by value.  The canonical code and the successor codes are
+    each computed once on demand and cached.
     """
 
-    __slots__ = ("_code",)
+    __slots__ = ("_code", "_successors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
         self._code: CanonicalCode | None = None
+        self._successors: frozenset[CanonicalCode] | None = None
 
     def _check_edge_count(self, n: int, m: int) -> None:
         if m != n - 1:
@@ -228,6 +229,7 @@ def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
     t.n = len(nbrs)
     t._adj = tuple(tuple(sorted(ws)) for ws in nbrs)
     t._code = None
+    t._successors = None
     return t
 
 
@@ -331,6 +333,14 @@ def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode, l
         move_edge(nbrs, target, gw, donor)
         deg[donor] += 1
         deg[target] -= 1
+
+
+def successor_codes(t: Tree) -> frozenset[CanonicalCode]:
+    """Codes of the classes one degree-rule move away from ``t``, from
+    :func:`move_codes`; computed once and cached like the canonical code."""
+    if t._successors is None:
+        t._successors = frozenset(code for _, code, _ in move_codes(t))
+    return t._successors
 
 
 def _peel_code(adj: Sequence[Iterable[int]], deg: list[int]) -> CanonicalCode:

@@ -6,7 +6,8 @@ degree-rule branch moves is invariant under relabeling, so the state space
 is the set of tree classes, whose successors a memo per size codes the
 first time a walk reaches them.  Certificates carry either a concrete move
 trace (positive evidence) or the full closed reachable set (negative
-evidence); :func:`check_certificate` re-verifies either kind from scratch.
+evidence); :func:`check_certificate` re-verifies either kind from the trees
+it holds, never from the memo.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .trees import (
     freeze_tree,
     move_branch,  # unused here; treebench/test_bench.py checks verify.move_branch
     move_codes,
+    successor_codes,
 )
 
 __all__ = [
@@ -72,8 +74,9 @@ __all__ = [
 #: chain reaches them all).  The budget is under 1 s for every reachability
 #: operation at the bound on a 2-vCPU machine: at n=12 the cold theorem pass
 #: took 0.25-0.33 s, and the largest negative certificate (a 525-class
-#: closure) 0.18-0.26 s to build cold and 0.16-0.22 s to check; at n=13 the
-#: theorem pass took 0.61-0.97 s, too close to the budget.
+#: closure) 0.17-0.38 s to build cold and 0.002-0.005 s to check (0.18-0.23 s
+#: with fresh copies of its members); at n=13 the theorem pass took
+#: 0.61-0.97 s, too close to the budget.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
 #: At most this many random extra edges join each sampled graph's tree.
@@ -165,8 +168,8 @@ def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
 
 
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
-    """Codes of the classes one degree-rule move away from ``t``."""
-    return frozenset(code for _, code, _ in move_codes(t))
+    """Codes of the classes one degree-rule move away from ``t``, cached on it."""
+    return successor_codes(t)
 
 
 def _require_reachability_bound(n: int) -> None:
@@ -253,16 +256,18 @@ def certify_reachability(
 
 def closure_is_closed(trees: tuple[Tree, ...]) -> bool:
     """True iff every degree-rule move from every member lands back in the
-    set (up to isomorphism)."""
+    set (up to isomorphism).  A tree's successor codes are cached on it like
+    its canonical code: those a walk coded are reused, others coded fresh."""
     codes = {canonical_code(t) for t in trees}
     return all(_successor_codes(t) <= codes for t in trees)
 
 
 def check_certificate(cert: ReachabilityCertificate) -> bool:
-    """Re-verify a certificate from scratch; True iff it genuinely proves
-    its claim.  A trace that breaks the move rules is rejected, and so is a
-    closure whose target is not a tree sequence on ``source.n`` nodes; a
-    trace whose labels are not ints raises TypeError."""
+    """Re-verify a certificate from the trees it holds, never from the memo;
+    True iff it genuinely proves its claim.  A closure is checked by
+    :func:`closure_is_closed`.  A trace that breaks the move rules is
+    rejected, and so is a closure whose target is not a tree sequence on
+    ``source.n`` nodes; a trace whose labels are not ints raises TypeError."""
     if cert.trace is not None:
         trace = cert.trace
         if trace.initial != cert.source:

@@ -35,7 +35,8 @@ from treemajor import (
     tree_to_dict,
     tree_to_dot,
 )
-from treemajor.trees import freeze_tree, move_codes, neighbor_toward
+from treemajor import trees
+from treemajor.trees import freeze_tree, move_codes, neighbor_toward, successor_codes
 from oracles import (
     branch_members_reference,
     centroids,
@@ -501,6 +502,29 @@ class TestLegalMovesAgainstReference:
                 assert mv == want_mv
                 assert freeze_tree(nbrs) == want
                 assert code == _canonical_code_reference(want)
+
+
+class TestSuccessorCodes:
+    def test_coded_once_per_tree(self, monkeypatch):
+        # a second call returns the cached set; a tree made by a move or by
+        # freezing neighbour sets starts uncached, even one equal to a
+        # cached tree
+        coded = []
+        monkeypatch.setattr(
+            trees, "move_codes", lambda t: coded.append(t) or move_codes(t)
+        )
+        t = tree_from_prufer([0, 0, 1, 2, 2, 5])
+        first = successor_codes(t)
+        assert successor_codes(t) is first
+        assert coded == [t]
+        moved = move_branch(t, *legal_moves(t)[0])
+        frozen = freeze_tree([set(t.neighbors(v)) for v in range(t.n)])
+        for fresh in (moved, frozen):
+            coded.clear()
+            assert successor_codes(fresh) == {
+                canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)
+            }
+            assert len(coded) == 1 and coded[0] is fresh
 
 
 class TestCanonicalCode:

@@ -47,7 +47,7 @@ from treemajor import (
     verify_convex_monotonicity,
     verify_majorization_reachability,
 )
-from treemajor import enumeration, verify
+from treemajor import enumeration, trees, verify
 
 
 def _find_move_trace_reference(t, target_delta):
@@ -352,6 +352,45 @@ class TestCertificates:
         cert = certify_reachability(star(7), delta_sequence(chain(7)))
         assert cert.closure is not None and cert.trace is None
         assert check_certificate(cert)
+
+    def test_checking_a_closure_just_built_codes_nothing(self, monkeypatch):
+        # the closure's members are the memo's representatives, whose
+        # successor codes the walk cached; fresh copies are coded on their
+        # own, and a copy missing one member reached by a move is rejected
+        n = 9
+        spider = Tree(n, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (0, 8)])
+        cert = certify_reachability(spider, delta_sequence(chain(n)))
+        assert len(cert.closure) == 41
+        coded = []
+        real = trees.move_codes
+        for module in (trees, verify):
+            monkeypatch.setattr(module, "move_codes", lambda t: coded.append(t) or real(t))
+        assert check_certificate(cert)
+        assert coded == []
+        rng = random.Random(n)
+        copies = []
+        for t in cert.closure:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            copies.append(Tree(n, [(perm[u], perm[v]) for u, v in t.sorted_edges()]))
+        fresh = ReachabilityCertificate(
+            source=cert.source, target_delta=cert.target_delta, trace=None,
+            closure=tuple(copies),
+        )
+        assert check_certificate(fresh)
+        assert len(coded) == len(copies)
+        assert all(c is t for c, t in zip(coded, copies))
+        source_code = canonical_code(spider)
+        for k, t in enumerate(copies):
+            if canonical_code(t) != source_code:
+                dropped = copies[:k] + copies[k + 1 :]
+                assert not closure_is_closed(tuple(dropped))
+                assert not check_certificate(
+                    ReachabilityCertificate(
+                        source=cert.source, target_delta=cert.target_delta,
+                        trace=None, closure=tuple(dropped),
+                    )
+                )
 
     def test_tampered_positive_fails(self):
         cert = certify_reachability(chain(7), DeltaSequence([4, 3, 1, 1, 1, 1, 1]))
