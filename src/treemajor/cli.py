@@ -96,9 +96,8 @@ def _cmd_compare(args) -> int:
 def _cmd_lorenz(args) -> int:
     s = _read_sequence(args.seq)
     curve = lorenz_curve(s, normalized=args.normalized)
-    mode = "csv" if args.csv else args.format
     rows = [(k, str(x), str(y)) for k, (x, y) in enumerate(curve.points)]
-    if mode == "structured":
+    if args.format == "structured":
         _emit_json(
             {
                 "sequence": list(s.values),
@@ -106,7 +105,7 @@ def _cmd_lorenz(args) -> int:
                 "points": [[x, y] for _, x, y in rows],
             }
         )
-    elif mode == "csv":
+    elif args.format == "csv":
         print("k,x,y")
         for k, x, y in rows:
             print(f"{k},{x},{y}")
@@ -133,20 +132,19 @@ def _cmd_plan(args) -> int:
 
 def _cmd_realize(args) -> int:
     seq = _read_sequence(args.seq)
-    mode = "dot" if args.dot else args.format
     if args.method == "chain":
         trace = realize_from_chain(seq)
-        if mode == "structured":
+        if args.format == "structured":
             _emit_json({"method": "chain", "trace": trace_to_dict(trace)})
-        elif mode == "dot":
+        elif args.format == "dot":
             print(tree_to_dot(trace.final))
         else:
             print(format_trace(trace))
     else:
         tree = realize_direct(seq)
-        if mode == "structured":
+        if args.format == "structured":
             _emit_json({"method": "direct", "tree": tree_to_dict(tree)})
-        elif mode == "dot":
+        elif args.format == "dot":
             print(tree_to_dot(tree))
         else:
             print(format_tree(tree))
@@ -197,7 +195,7 @@ def _cmd_verify(args) -> int:
             ok,
             "every dominating census target is reachable from every source class"
             if ok
-            else f"{len(certificates)} unreachable (class, target) pairs",
+            else f"{len(certificates)} unreachable (class, cover) pairs",
         )
     if args.chain_minimal or run_all:
         require_census_bound(args.n)  # before any graph is sampled
@@ -272,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seq")
     p.add_argument("--normalized", action="store_true")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--csv", action="store_true", help="shorthand for --format csv")
+    # an alias of --format; argparse keeps the default of the first action added
+    g.add_argument("--csv", dest="format", action="store_const", const="csv",
+                   default="text", help="shorthand for --format csv")
     _add_format(g, ["text", "structured", "csv"])
     p.set_defaults(handler=_cmd_lorenz)
 
@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seq")
     p.add_argument("--method", choices=["chain", "direct"], default="chain")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--dot", action="store_true", help="shorthand for --format dot")
+    g.add_argument("--dot", dest="format", action="store_const", const="dot",
+                   default="text", help="shorthand for --format dot")
     _add_format(g, ["text", "structured", "dot"])
     p.set_defaults(handler=_cmd_realize)
 

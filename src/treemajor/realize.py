@@ -10,17 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import (
-    DegreeRuleViolation,
-    DonorIsLeaf,
-    InvalidPlan,
-    NotTreeFeasible,
-    ParseError,
-    dict_fields,
-    list_of,
-)
+from .errors import NotTreeFeasible, ParseError, dict_fields, list_of
 from .sequences import DeltaSequence, validate_tree_sequence
-from .transfers import TransferPlan, plan_transfers, transfer_in_place
+from .transfers import TransferPlan, plan_transfers, step_values
 from .trees import (
     Tree,
     chain,
@@ -111,16 +103,15 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     receiver.  Every move satisfies the degree rule, so the degree sequence
     after each move is the plan's next sequence.
 
-    The moves run on a working adjacency (neighbour sets, degree -> heap of
-    labels, the descending degree list) with :func:`move_branch`'s search and
-    edge swap.  The search starts at the donor, grows all its branches level
-    by level and stops at the receiver, so a step costs about the nodes
-    nearer the donor than the receiver, and O(1) when they are neighbours.
-    One ``Tree`` is frozen at the end, not re-validated.  A step raises
-    what :func:`move_branch` would (DonorIsLeaf, DegreeRuleViolation), or
-    InvalidPlan for ranks outside 1..n or not in receiver-donor order.  A
-    plan whose steps end anywhere but its target raises InvalidPlan, as in
-    :func:`replay`.
+    The step values come from :func:`step_values`, which checks every step,
+    so a plan that :func:`replay` rejects raises InvalidPlan here too; a
+    tree whose degrees are not the plan's source raises ValueError.  The
+    moves run on a working adjacency (neighbour sets, degree -> heap of
+    labels) with :func:`move_branch`'s search and edge swap.  The search
+    starts at the donor, grows all its branches level by level and stops at
+    the receiver, so a step costs about the nodes nearer the donor than the
+    receiver, and O(1) when they are neighbours.  One ``Tree`` is frozen at
+    the end, not re-validated.
     """
     source = delta_sequence(t)
     if source != plan.source:
@@ -131,22 +122,9 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     by_degree: dict[int, list[int]] = {}
     for v, ws in enumerate(nbrs):
         by_degree.setdefault(len(ws), []).append(v)
-    degrees = list(source.values)
     moves: list[tuple[int, int, int]] = []
-    for step in plan.steps:
-        i, j = step.receiver_rank, step.donor_rank
-        if not (1 <= i <= t.n and 1 <= j <= t.n):
-            raise InvalidPlan(f"ranks must lie in 1..{t.n}, got i={i}, j={j}")
-        receiver_value, donor_value = degrees[i - 1], degrees[j - 1]
-        if donor_value < 2:
-            raise DonorIsLeaf(f"rank {j} holds a leaf; moving a branch strands it")
-        if receiver_value < donor_value:
-            raise DegreeRuleViolation(
-                f"target degree {receiver_value} < donor degree {donor_value}"
-            )
-        if i >= j:
-            raise InvalidPlan(f"receiver rank {i} >= donor rank {j}")
-        # with i < j, two nodes hold the value when both ranks share it
+    for receiver_value, donor_value in step_values(plan):
+        # the ranks differ, so two nodes hold the value when both ranks share it
         receiver = heappop(by_degree[receiver_value])
         donor = heappop(by_degree[donor_value])
         # The donor's neighbour on its path to the receiver heads the one
@@ -156,12 +134,7 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
         move_edge(nbrs, donor, gateway, receiver)
         heappush(by_degree.setdefault(receiver_value + 1, []), receiver)
         heappush(by_degree.setdefault(donor_value - 1, []), donor)
-        transfer_in_place(degrees, i, j)
         moves.append((donor, gateway, receiver))
-    if tuple(degrees) != plan.target.values:
-        raise InvalidPlan(
-            f"replay ends at {DeltaSequence(degrees)}, not the target {plan.target}"
-        )
     return MoveTrace(initial=t, moves=tuple(moves), final=freeze_tree(nbrs))
 
 

@@ -68,10 +68,11 @@ class TransferPlan:
             yield DeltaSequence(vals)
 
 
-def transfer_in_place(vals: list[int], i: int, j: int) -> None:
+def transfer_in_place(vals: list[int], i: int, j: int) -> tuple[int, int]:
     """:func:`basic_transfer` on a descending list, kept descending in place:
     the unit lands on the first slot holding the receiver's value and leaves
-    the last slot holding the donor's value, where re-sorting puts them."""
+    the last slot holding the donor's value, where re-sorting puts them.
+    Returns the (receiver, donor) values from before the transfer."""
     n = len(vals)
     if not (1 <= i <= n) or not (1 <= j <= n):
         raise ValueError(f"ranks must lie in 1..{n}, got i={i}, j={j}")
@@ -84,6 +85,7 @@ def transfer_in_place(vals: list[int], i: int, j: int) -> None:
         )
     vals[bisect_left(vals, -receiver, key=neg)] += 1
     vals[bisect_right(vals, -donor, key=neg) - 1] -= 1
+    return receiver, donor
 
 
 def basic_transfer(s: DeltaSequence, i: int, j: int) -> DeltaSequence:
@@ -138,12 +140,13 @@ def plan_transfers(source: DeltaSequence, target: DeltaSequence) -> TransferPlan
     return TransferPlan(source=source, target=target, steps=tuple(steps))
 
 
-def replay(plan: TransferPlan) -> DeltaSequence:
-    """Re-apply every step of ``plan`` from its source and return the result.
+def step_values(plan: TransferPlan) -> Iterator[tuple[int, int]]:
+    """Replay ``plan`` from its source, checking every step, and yield each
+    step's (receiver value, donor value) from before it is applied.
 
     A step breaking the tree-variant preconditions (receiver rank before
-    donor rank, donor value at least 2), or an end short of the target,
-    raises InvalidPlan.
+    donor rank, both ranks in range, donor value at least 2), or an end
+    other than the target, raises InvalidPlan.
     """
     vals = list(plan.source.values)
     for k, step in enumerate(plan.steps, start=1):
@@ -153,13 +156,22 @@ def replay(plan: TransferPlan) -> DeltaSequence:
                 f">= donor rank {step.donor_rank}"
             )
         try:
-            transfer_in_place(vals, step.receiver_rank, step.donor_rank)
+            values = transfer_in_place(vals, step.receiver_rank, step.donor_rank)
         except (TreeMajorError, ValueError) as exc:
             raise InvalidPlan(f"step {k} cannot be applied: {exc}") from exc
-    cur = DeltaSequence(vals)
-    if cur != plan.target:
-        raise InvalidPlan(f"replay ends at {cur}, not the target {plan.target}")
-    return cur
+        yield values
+    if tuple(vals) != plan.target.values:
+        raise InvalidPlan(
+            f"replay ends at {DeltaSequence(vals)}, not the target {plan.target}"
+        )
+
+
+def replay(plan: TransferPlan) -> DeltaSequence:
+    """Re-apply every step of ``plan`` from its source and return its target;
+    a plan that :func:`step_values` rejects raises InvalidPlan."""
+    for _ in step_values(plan):
+        pass
+    return plan.target
 
 
 def format_plan(plan: TransferPlan) -> str:

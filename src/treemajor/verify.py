@@ -300,29 +300,27 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     RuntimeError on a violation (a library defect).  Converse: for every
     class T and every cover b of delta(T), one move from T reaches b.  That
     is exact, since a path to a cover is one move and covers chain every
-    strict pair a < b.  On failure, each class with sequence a that reaches
-    no b yields a closed-set certificate, in nested census order then class
-    order.  Returns (all_ok, certificates-for-failures).
+    strict pair a < b.  Each (class, cover) pair that fails yields a
+    closed-set certificate, in canonical class order then cover order.
+    Returns (all_ok, certificates-for-failures).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     reps, deltas, _, _ = _classes(n)
     census = delta_census(n)
-    covers = {a: set() for a in census}
+    covers = {a: [] for a in census}
     for a, b in _covers(census):
-        covers[a].add(b)
-    if all(covers[deltas[c]] <= {deltas[x] for x in _successors(n, c)} for c in reps):
-        return (True, [])
-    failures = [
-        ReachabilityCertificate(
-            source=t, target_delta=b, trace=None, closure=reachability_closure(t)
-        )
-        for a in census
-        for b in census
-        if compare(a, b) is ComparisonResult.STRICTLY_BELOW
-        for code, t in reps.items()
-        if deltas[code] == a and all(deltas[c] != b for c in reachable_classes(t))
-    ]
+        covers[a].append(b)
+    failures = []
+    for code, t in reps.items():
+        reached = {deltas[x] for x in _successors(n, code)}
+        failures += [
+            ReachabilityCertificate(
+                source=t, target_delta=b, trace=None, closure=reachability_closure(t)
+            )
+            for b in covers[deltas[code]]
+            if b not in reached
+        ]
     return (not failures, failures)
 
 

@@ -15,6 +15,8 @@ from treemajor import (
     tree_from_dict,
     delta_sequence,
     apply_moves,
+    canonical_code,
+    star,
 )
 from treemajor import cli, enumeration, verify
 from treemajor.cli import main
@@ -253,6 +255,29 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "5", "--convex")
         assert code == 5
         assert "convex n=5: FAIL" in out
+
+    def test_theorem_failure_exit_five(self, capsys, monkeypatch):
+        # drop the 5,2,1,... class's one move to the star, its one cover
+        hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
+        star_code = canonical_code(star(7))
+        real = verify._successor_codes
+        monkeypatch.setattr(
+            verify,
+            "_successor_codes",
+            lambda t: real(t) - {star_code} if delta_sequence(t) == hub else real(t),
+        )
+        verify._classes.cache_clear()  # the memo of n=7 is cached
+        try:
+            code, out, _ = run(capsys, "verify", "7", "--theorem")
+            code_s, out_s, _ = run(capsys, "verify", "7", "--theorem", "--format", "structured")
+        finally:
+            verify._classes.cache_clear()
+        detail = "1 unreachable (class, cover) pairs"
+        assert code == code_s == 5
+        assert out == f"theorem n=7: FAIL ({detail})\n"
+        assert json.loads(out_s)["checks"] == [
+            {"name": "theorem", "passed": False, "detail": detail}
+        ]
 
     def test_structured(self, capsys):
         _, out, _ = run(

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from treemajor import (
     ComparisonResult,
-    DegreeRuleViolation,
     DeltaSequence,
-    DonorIsLeaf,
     InvalidPlan,
     MoveTrace,
     NotTreeFeasible,
@@ -316,19 +314,42 @@ class TestReplayAgainstReference:
 
 
 class TestReplayChecks:
-    """Every per-step check raises a TreeMajorError subclass."""
+    """Both replayers walk the same checked steps, so each rejects a bad
+    plan with InvalidPlan."""
 
-    def test_leaf_donor(self):
-        s = delta_sequence(chain(4))
-        plan = TransferPlan(s, DeltaSequence([3, 1, 1, 1]), (TransferStep(1, 4),))
-        with pytest.raises(DonorIsLeaf):
-            replay_plan_on_tree(chain(4), plan)
-
-    def test_receiver_below_donor(self):
-        s = delta_sequence(chain(5))
-        plan = TransferPlan(s, s, (TransferStep(4, 1),))
-        with pytest.raises(DegreeRuleViolation):
-            replay_plan_on_tree(chain(5), plan)
+    @pytest.mark.parametrize(
+        "t, target, steps",
+        [
+            (chain(4), [3, 1, 1, 1], [(1, 4)]),
+            (chain(5), [2, 2, 2, 1, 1], [(4, 1)]),
+            (chain(4), [3, 1, 1, 1], [(2, 1)]),
+            (chain(4), [3, 1, 1, 1], [(1, 5)]),
+            (chain(4), [3, 1, 1, 1], [(0, 2)]),
+            (chain(4), [3, 1, 1, 1], [(5, 1)]),
+            (chain(5), [4, 1, 1, 1, 1], []),
+            (chain(5), [9, 9], []),
+        ],
+        ids=[
+            "leaf-donor",
+            "reversed-smaller-receiver",
+            "reversed-equal-values",
+            "donor-rank-above-n",
+            "receiver-rank-zero",
+            "receiver-rank-above-n",
+            "short-of-star",
+            "short-of-other-length",
+        ],
+    )
+    def test_both_replayers_reject(self, t, target, steps):
+        plan = TransferPlan(
+            delta_sequence(t),
+            DeltaSequence(target),
+            tuple(TransferStep(i, j) for i, j in steps),
+        )
+        with pytest.raises(InvalidPlan):
+            replay(plan)
+        with pytest.raises(InvalidPlan):
+            replay_plan_on_tree(t, plan)
 
     def test_receiver_rank_after_donor_rank(self):
         # equal values, so only the rank order is wrong; replay agrees

@@ -27,6 +27,7 @@ from treemajor import (
     plan_transfers,
     replay,
 )
+from treemajor.transfers import step_values
 
 
 class TestBasicTransfer:
@@ -205,6 +206,21 @@ class TestReplayValidation:
         )
         with pytest.raises(InvalidPlan):
             replay(plan)
+
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_walk_yields_the_values_before_each_step(self, n):
+        # the census holds exactly the classes' degree sequences
+        census = delta_census(n)
+        for a in census:
+            for b in census:
+                if compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
+                    continue
+                plan = plan_transfers(a, b)
+                assert list(step_values(plan)) == [
+                    (before.values[st.receiver_rank - 1], before.values[st.donor_rank - 1])
+                    for st, (before, _) in zip(plan.steps, pairwise(plan.sequences()))
+                ]
 
 
 class TestSequences:
