@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, LengthMismatch, NotTreeFeasible
 from .sequences import DeltaSequence
-from .trees import Tree, canonical_code, delta_sequence
+from .trees import Tree, canonical_code, delta_sequence, freeze_tree
 
 __all__ = [
     "MAX_NODES",
@@ -143,12 +143,21 @@ def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 def tree_from_prufer(seq: Sequence[int]) -> Tree:
     """Decode a Prufer sequence over labels 0..n-1 into the labeled tree on
-    n = len(seq) + 2 nodes.  The decoding is the standard bijection."""
+    n = len(seq) + 2 nodes.  The decoding is the standard bijection, so the
+    edges form a tree by construction and are not re-validated once each
+    label is checked: TypeError for a label that is not an int (a bool is
+    not), ValueError for one outside 0..n-1."""
     n = len(seq) + 2
     for x in seq:
+        if type(x) is not int:
+            raise TypeError(f"Prufer labels must be ints, got {x!r}")
         if not (0 <= x < n):
             raise ValueError(f"label {x} outside 0..{n - 1}")
-    return Tree(n, _prufer_edges(seq, n))
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in _prufer_edges(seq, n):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return freeze_tree(nbrs)
 
 
 def _partitions_desc(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:

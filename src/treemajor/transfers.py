@@ -59,11 +59,13 @@ class TransferPlan:
         return len(self.steps)
 
     def sequences(self) -> Iterator[DeltaSequence]:
-        """Yield ``source``, then the sequence after each step; a step that
-        cannot be applied raises what :func:`basic_transfer` raises."""
+        """Yield ``source``, then the sequence after each step.  The walk is
+        :func:`step_values`'s, so a plan that :func:`replay` rejects raises
+        InvalidPlan: at its first bad step, or, for an end other than the
+        target, when the sequence after the last step is passed."""
         vals = list(self.source.values)
         yield self.source
-        for step in self.steps:
+        for _, step in zip(step_values(self), self.steps):
             transfer_in_place(vals, step.receiver_rank, step.donor_rank)
             yield DeltaSequence(vals)
 
@@ -178,7 +180,7 @@ def format_plan(plan: TransferPlan) -> str:
     """Line-oriented text: one step per line, `i j | before -> after`."""
     return "\n".join(
         f"{st.receiver_rank} {st.donor_rank} | {before} -> {after}"
-        for st, (before, after) in zip(plan.steps, pairwise(plan.sequences()))
+        for st, (before, after) in zip(plan.steps, pairwise(plan.sequences()), strict=True)
     )
 
 
@@ -194,7 +196,7 @@ def plan_to_dict(plan: TransferPlan) -> dict:
                 "before": list(before.values),
                 "after": list(after.values),
             }
-            for st, (before, after) in zip(plan.steps, pairwise(plan.sequences()))
+            for st, (before, after) in zip(plan.steps, pairwise(plan.sequences()), strict=True)
         ],
     }
 

@@ -125,15 +125,18 @@ class Tree(Graph):
     """A labeled free tree on nodes 0..n-1: a connected graph with exactly
     n-1 edges.
 
-    Trees compare by value.  The canonical code and the successor codes are
-    each computed once on demand and cached.
+    Trees compare by value.  The canonical code and positions, the move ->
+    code map and the successor codes are each computed once on demand and
+    cached.
     """
 
-    __slots__ = ("_code", "_successors")
+    __slots__ = ("_code", "_positions", "_moves", "_successors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
         self._code: CanonicalCode | None = None
+        self._positions: list[int] | None = None
+        self._moves: dict[tuple[int, int, int], CanonicalCode] | None = None
         self._successors: frozenset[CanonicalCode] | None = None
 
     def _check_edge_count(self, n: int, m: int) -> None:
@@ -223,12 +226,16 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
 
 
 def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
-    """The tree with neighbour sets ``nbrs``, not re-validated: only for the
-    working adjacency of a valid tree changed by branch moves."""
+    """The tree with neighbour sets ``nbrs``, not re-validated: only for
+    neighbour sets that form a tree by construction, such as the working
+    adjacency of a valid tree changed by branch moves or a decoded Prufer
+    sequence over checked labels."""
     t = Tree.__new__(Tree)
     t.n = len(nbrs)
     t._adj = tuple(tuple(sorted(ws)) for ws in nbrs)
     t._code = None
+    t._positions = None
+    t._moves = None
     t._successors = None
     return t
 
@@ -335,12 +342,93 @@ def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode, l
         deg[target] -= 1
 
 
+def move_code_map(t: Tree) -> dict[tuple[int, int, int], CanonicalCode]:
+    """Move -> code of the moved tree for each of :func:`legal_moves`, in
+    its order, from :func:`move_codes`; computed once and cached like the
+    canonical code."""
+    if t._moves is None:
+        t._moves = {mv: code for mv, code, _ in move_codes(t)}
+    return t._moves
+
+
 def successor_codes(t: Tree) -> frozenset[CanonicalCode]:
-    """Codes of the classes one degree-rule move away from ``t``, from
-    :func:`move_codes`; computed once and cached like the canonical code."""
+    """Codes of the classes one degree-rule move away from ``t``: the values
+    of :func:`move_code_map`, cached as a set."""
     if t._successors is None:
-        t._successors = frozenset(code for _, code, _ in move_codes(t))
+        t._successors = frozenset(move_code_map(t).values())
     return t._successors
+
+
+def canonical_positions(t: Tree) -> list[int]:
+    """Position of each node when the tree is numbered level by level from
+    its centre, each node's children in the order of their subtree codes
+    (with two central nodes, the half of lower code first); computed once
+    and cached like the canonical code.  Isomorphic trees relabelled by
+    their positions are the same labelled tree (Aho, Hopcroft and Ullman's
+    canonical labelling), so ``pos_ref^-1 . pos_t`` maps ``t`` onto an
+    isomorphic ``ref``.  One leaf-peeling pass codes the subtrees as
+    :func:`canonical_code` does: a leaf child's code "()" sorts after every
+    other, so leaf children are only collected, and numbered last."""
+    if t._positions is not None:
+        return t._positions
+    adj, n = t._adj, t.n
+    deg = [len(ws) for ws in adj]
+    code = [""] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    leaves: list[list[int]] = [[] for _ in range(n)]
+    layer = [v for v in range(n) if deg[v] < 2]
+    remaining = n
+    while remaining > 2:
+        leafy = remaining == n
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for p in adj[v]:
+                if deg[p]:
+                    break
+            if leafy:
+                leaves[p].append(v)
+            else:
+                ks = kids[v]
+                ks.sort(key=code.__getitem__)
+                code[v] = "(" + "".join([code[c] for c in ks]) + "()" * len(leaves[v]) + ")"
+                kids[p].append(v)
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        layer = nxt
+    for c in layer:
+        kids[c].sort(key=code.__getitem__)
+        code[c] = "(" + "".join([code[k] for k in kids[c]]) + "()" * len(leaves[c]) + ")"
+    order = sorted(layer, key=code.__getitem__)
+    for v in order:
+        order += kids[v]
+        order += leaves[v]
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    t._positions = pos
+    return pos
+
+
+def moves_via(
+    t: Tree, ref: Tree, ref_moves: dict[tuple[int, int, int], CanonicalCode]
+) -> list[tuple[tuple[int, int, int], CanonicalCode]]:
+    """(move, code) for each of :func:`legal_moves` of ``t``, in its order,
+    with nothing coded: ``ref`` is isomorphic to ``t`` and ``ref_moves`` its
+    complete :func:`move_code_map`.  Each of ref's moves is carried onto
+    ``t`` by ``pos_t^-1 . pos_ref`` (:func:`canonical_positions`), the
+    inverse of ``pos_ref^-1 . pos_t``, with its code; sorting the carried
+    moves gives legal_moves' order without its branch searches."""
+    node_at = [0] * t.n
+    for v, k in enumerate(canonical_positions(t)):
+        node_at[k] = v
+    to_t = [node_at[k] for k in canonical_positions(ref)]
+    return sorted(
+        [((to_t[donor], to_t[gw], to_t[target]), code)
+         for (donor, gw, target), code in ref_moves.items()]
+    )
 
 
 def _peel_code(adj: Sequence[Iterable[int]], deg: list[int]) -> CanonicalCode:

@@ -4,10 +4,13 @@ machine-checkable certificates.
 Everything here works over isomorphism classes: reachability under
 degree-rule branch moves is invariant under relabeling, so the state space
 is the set of tree classes, whose successors a memo per size codes the
-first time a walk reaches them.  Certificates carry either a concrete move
-trace (positive evidence) or the full closed reachable set (negative
-evidence); :func:`check_certificate` re-verifies either kind from the trees
-it holds, never from the memo.
+first time a walk reaches them.  A class store per size keeps one tree of
+each coded class with its move -> code map; the move-trace search reads a
+stored class's successor codes onto any isomorphic tree through canonical
+positions, so it codes only classes no walk has coded.  Certificates carry
+either a concrete move trace (positive evidence) or the full closed
+reachable set (negative evidence); :func:`check_certificate` re-verifies
+either kind from the trees it holds, never from the memo or the store.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from .trees import (
     complete_graph,
     cycle_graph,
     delta_sequence,
-    freeze_tree,
-    move_branch,  # unused here; treebench/test_bench.py checks verify.move_branch
+    move_branch,
+    move_code_map,
     move_codes,
+    moves_via,
     successor_codes,
 )
 
@@ -149,11 +153,20 @@ def _classes(n: int):
     return reps, deltas, {}, set()
 
 
+@lru_cache(maxsize=None)
+def _class_store(n: int) -> dict[CanonicalCode, tuple[Tree, dict]]:
+    """The class store of size ``n``: code -> a tree of the class and its
+    complete move -> code map, for every class coded so far by
+    :func:`_successors` or :func:`find_move_trace`."""
+    return {}
+
+
 def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
-    """Successor codes of one class, coded the first time a walk asks.  A
-    move that does not strictly raise the degree sequence is a library
-    defect and raises RuntimeError before the entry is stored; each distinct
-    (sequence, successor sequence) pair is compared once."""
+    """Successor codes of one class, coded the first time a walk asks; the
+    representative's move map joins the class store.  A move that does not
+    strictly raise the degree sequence is a library defect and raises
+    RuntimeError before the entry is stored; each distinct (sequence,
+    successor sequence) pair is compared once."""
     reps, deltas, successors, risen = _classes(n)
     if code not in successors:
         codes = _successor_codes(reps[code])
@@ -164,6 +177,7 @@ def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
                 )
             risen.add((a, b))
         successors[code] = codes
+        _class_store(n)[code] = (reps[code], move_code_map(reps[code]))
     return successors[code]
 
 
@@ -206,8 +220,13 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     Every move strictly raises the degree sequence, so the order decides
     first: an equal target gives the zero-move trace and one that does not
     strictly dominate ``delta_sequence(t)`` gives None, with no search.
-    Raises BoundExceeded above REACHABILITY_MAX_NODES, and LengthMismatch or
-    NotTreeFeasible for a target that is not a tree sequence on ``t.n``.
+    A class in the class store has its successors read through
+    :func:`trees.moves_via`, with nothing coded; any other class is coded
+    move by move, and joins the store once all its moves are coded.  A
+    concrete tree is built, by :func:`move_branch` from its parent's, only
+    for a class the search expands or ends on.  Raises BoundExceeded above
+    REACHABILITY_MAX_NODES, and LengthMismatch or NotTreeFeasible for a
+    target that is not a tree sequence on ``t.n``.
     """
     _require_reachability_bound(t.n)
     require_tree_sequence(t.n, target_delta)
@@ -216,28 +235,67 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
         return MoveTrace(initial=t, moves=(), final=t)
     if rel is not ComparisonResult.STRICTLY_BELOW:
         return None
-    # parent pointers over concrete trees so the trace replays literally
+    store = _class_store(t.n)
+    want = [0] * t.n
+    for d in target_delta.values:
+        want[d] += 1
+    # parent pointers, and a concrete tree once a class is expanded, so the
+    # trace replays literally
     start = canonical_code(t)
-    info: dict[CanonicalCode, tuple[Tree, CanonicalCode | None, tuple | None]] = {
-        start: (t, None, None)
-    }
+    info: dict[CanonicalCode, list] = {start: [t, None, None]}
     queue = deque([start])
     while queue:
         code = queue.popleft()
-        for mv, nxt_code, nbrs in move_codes(info[code][0]):
+        entry = info[code]
+        if entry[0] is None:
+            entry[0] = move_branch(info[entry[1]][0], *entry[2])
+        tree = entry[0]
+        deg = [tree.degree(v) for v in range(tree.n)]
+        hit = _landing_degrees(deg, want)
+        known = store.get(code)
+        if known is not None:
+            moves = moves_via(tree, *known)
+        else:
+            coded: dict = {}
+            moves = ((mv, nxt) for mv, nxt, _ in move_codes(tree))
+        for mv, nxt_code in moves:
+            if known is None:
+                coded[mv] = nxt_code
             if nxt_code in info:
                 continue
-            nxt = freeze_tree(nbrs)
-            info[nxt_code] = (nxt, code, mv)
-            if delta_sequence(nxt) != target_delta:
+            info[nxt_code] = [None, code, mv]
+            if (deg[mv[0]], deg[mv[2]]) != hit:
                 queue.append(nxt_code)
                 continue
-            moves = []
+            path = []
             while nxt_code != start:
-                _, nxt_code, mv = info[nxt_code]
-                moves.append(mv)
-            return MoveTrace(initial=t, moves=tuple(reversed(moves)), final=nxt)
+                _, nxt_code, step = info[nxt_code]
+                path.append(step)
+            return MoveTrace(
+                initial=t, moves=tuple(reversed(path)), final=move_branch(tree, *mv)
+            )
+        if known is None:
+            store[code] = (tree, coded)
     return None
+
+
+def _landing_degrees(deg: list[int], want: list[int]) -> tuple[int, int] | None:
+    """The (donor, target) degrees of the moves that carry a tree with
+    degrees ``deg``, not yet on the target, onto the degree counts ``want``,
+    or None.  A move turns one donor degree d into d-1 and one target degree
+    e into e+1, so the counts must differ by exactly that: d-1 is the lowest
+    degree whose count differs and e+1 the highest."""
+    need = want[:]
+    for d in deg:
+        need[d] -= 1
+    diff = [k for k, c in enumerate(need) if c]
+    d, e = diff[0] + 1, diff[-1] - 1
+    move = [0] * len(need)
+    move[d - 1] += 1
+    move[d] -= 1
+    move[e] -= 1
+    move[e + 1] += 1
+    return (d, e) if move == need else None
 
 
 def certify_reachability(

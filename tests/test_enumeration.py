@@ -25,6 +25,7 @@ from treemajor.enumeration import (
     MAX_NODES,
     _centroid_rooted_tree,
     _level_sequences,
+    _prufer_edges,
     _tree_from_levels,
 )
 from oracles import centroids, enumerate_trees_bruteforce
@@ -226,6 +227,18 @@ class TestPrufer:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             tree_from_prufer([5, 0])
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1", None])
+    def test_non_int_label(self, label):
+        with pytest.raises(TypeError):
+            tree_from_prufer([0, label])
+
+    def test_equals_the_validated_build(self):
+        # the decoded edges are built without re-validation; every Prufer
+        # sequence on 6 nodes gives the tree the validating constructor gives
+        for seq in itertools.product(range(6), repeat=4):
+            t = tree_from_prufer(seq)
+            assert t == Tree(6, _prufer_edges(seq, 6))
 
 
 class TestDeltaCensus:

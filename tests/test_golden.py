@@ -3,8 +3,10 @@ realization commands print exactly the bytes pinned here, by SHA-256, in
 each of their output forms.  Two more digests pin a plan replay from a
 random tree, which the chain-sourced realizations never exercise, and the
 canonical code of every successor that the exhaustive search reads.  The
-last two pin the reachability answers: every certificate for every class
-and census target, and the theorem pass and unreachable pairs.
+reachability answers are pinned by every certificate for every class and
+census target, by certificates from relabelled sources with the class
+store cold and warm, and by the theorem pass and unreachable pairs; one
+more digest pins the sampled graph suite.
 
 A change that keeps behaviour must leave these digests alone; a change
 that means to alter this output updates them and says so.
@@ -18,6 +20,7 @@ import pytest
 
 from treemajor import (
     ComparisonResult,
+    Tree,
     certify_reachability,
     check_certificate,
     compare,
@@ -27,12 +30,16 @@ from treemajor import (
     find_unreachable_pair,
     plan_transfers,
     replay_plan_on_tree,
+    standard_graph_suite,
     star,
     tree_from_prufer,
     verify_majorization_reachability,
 )
+from treemajor import verify
 from treemajor.cli import main
 from treemajor.trees import move_codes
+
+_REACHABLE = (ComparisonResult.EQUAL, ComparisonResult.STRICTLY_BELOW)
 
 STDOUT_SHA256 = {
     "hasse 3 --format dot": "10c973786810b792efc6a0980f16ff314fed27c38cc52ba037e50555be7d07d4",
@@ -179,6 +186,52 @@ def test_certificates_match_digest():
     assert (
         digest.hexdigest()
         == "12952fe41be19e3bac7bfa447567397f4728e2feb3813ee69b120a579870fe5c"
+    )
+
+
+@pytest.mark.parametrize("store", ["cleared", "after the theorem pass"])
+def test_certificates_from_relabelled_sources_match_digest(store):
+    # every class at n = 8..10, relabelled, to the middle target of each
+    # kind (reachable, unreachable) in census order; the searches read the
+    # class store through canonical positions when it holds their classes
+    verify._classes.cache_clear()
+    verify._class_store.cache_clear()
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(8, 11):
+        if store != "cleared":
+            verify_majorization_reachability(n)
+        rng = random.Random(n)
+        census = delta_census(n)
+        for t in enumerate_trees(n):
+            base = delta_sequence(t)
+            reach = [s for s in census if compare(base, s) in _REACHABLE]
+            unreach = [s for s in census if compare(base, s) not in _REACHABLE]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            source = Tree(n, [(perm[u], perm[v]) for u, v in t.sorted_edges()])
+            for pool in (reach, unreach):
+                if pool:
+                    cert = certify_reachability(source, pool[len(pool) // 2])
+                    digest.update((repr(cert) + repr(check_certificate(cert)) + "\n").encode())
+                    count += 1
+    assert count == 349
+    assert (
+        digest.hexdigest()
+        == "993b1e897331b144a3ba2198f722b3b47deb95b273b09148a2b1f95b4542eca8"
+    )
+
+
+def test_graph_suite_matches_digest():
+    # the sampled graphs' edges, n = 3..28, for three seeds
+    digest = hashlib.sha256()
+    for n in range(3, 29):
+        for seed in (0, 7, 1905):
+            for g in standard_graph_suite(n, 100, seed):
+                digest.update((repr(g.sorted_edges()) + "\n").encode())
+    assert (
+        digest.hexdigest()
+        == "4dfad2fbc54e4ff68a814a3d4582245d863a2cb1f72b5c345ef4c1c098eab47e"
     )
 
 

@@ -232,7 +232,8 @@ class TestSequences:
         assert len(seqs) == len(plan) + 1
         assert seqs[0] is source and seqs[-1] == target
 
-    def test_bad_step_raises_when_reached(self):
+    def test_bad_step_raises_invalid_plan_when_reached(self):
+        # the walk is step_values', so a step it cannot apply is a bad plan
         plan = TransferPlan(
             source=DeltaSequence([2, 1, 1]),
             target=DeltaSequence([2, 1, 1]),
@@ -240,7 +241,18 @@ class TestSequences:
         )
         walk = plan.sequences()
         assert next(walk) == plan.source
-        with pytest.raises(DonorWouldVanish):
+        with pytest.raises(InvalidPlan, match="step 1 cannot be applied"):
+            next(walk)
+
+    def test_wrong_end_raises_after_the_last_sequence(self):
+        plan = TransferPlan(
+            source=DeltaSequence([2, 2, 2, 1, 1]),
+            target=DeltaSequence([4, 1, 1, 1, 1]),
+            steps=(TransferStep(receiver_rank=1, donor_rank=3),),
+        )
+        walk = plan.sequences()
+        assert [next(walk), next(walk)] == [plan.source, DeltaSequence([3, 2, 1, 1, 1])]
+        with pytest.raises(InvalidPlan, match="not the target"):
             next(walk)
 
     @given(values=st.lists(st.integers(1, 6), max_size=11), data=st.data())
@@ -272,6 +284,27 @@ class TestSerialization:
             "1 3 | 3,3,3,1,1,1,1,1 -> 4,3,2,1,1,1,1,1\n"
             "1 3 | 4,3,2,1,1,1,1,1 -> 5,3,1,1,1,1,1,1"
         )
+
+    @pytest.mark.parametrize(
+        "source, target, steps",
+        [
+            ([2, 2, 1, 1], [2, 2, 1, 1], [(2, 1)]),
+            ([2, 2, 2, 1, 1], [4, 1, 1, 1, 1], [(1, 3)]),
+            ([2, 2, 2, 1, 1], [4, 1, 1, 1, 1], []),
+            ([2, 2, 1, 1], [3, 1, 1, 1], [(1, 4)]),
+            ([2, 2, 1, 1], [3, 1, 1, 1], [(1, 5)]),
+        ],
+        ids=["receiver-after-donor", "short-of-target", "empty-short", "leaf-donor",
+             "rank-above-n"],
+    )
+    def test_writers_reject_what_replay_rejects(self, source, target, steps):
+        # before, both printed the unchecked walk: 2 1 | 2,2,1,1 -> 3,1,1,1
+        plan = TransferPlan(
+            DeltaSequence(source), DeltaSequence(target), tuple(TransferStep(*st) for st in steps)
+        )
+        for write in (replay, format_plan, plan_to_dict):
+            with pytest.raises(InvalidPlan):
+                write(plan)
 
     def test_empty_plan_formats_empty(self):
         s = DeltaSequence([2, 1, 1])

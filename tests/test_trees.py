@@ -36,7 +36,15 @@ from treemajor import (
     tree_to_dot,
 )
 from treemajor import trees
-from treemajor.trees import freeze_tree, move_codes, neighbor_toward, successor_codes
+from treemajor.trees import (
+    canonical_positions,
+    freeze_tree,
+    move_code_map,
+    move_codes,
+    moves_via,
+    neighbor_toward,
+    successor_codes,
+)
 from oracles import (
     branch_members_reference,
     centroids,
@@ -506,16 +514,20 @@ class TestLegalMovesAgainstReference:
 
 class TestSuccessorCodes:
     def test_coded_once_per_tree(self, monkeypatch):
-        # a second call returns the cached set; a tree made by a move or by
-        # freezing neighbour sets starts uncached, even one equal to a
-        # cached tree
+        # the move map is coded once, in legal_moves' order, and the
+        # successor codes are its values, cached as a set; a tree made by a
+        # move or by freezing neighbour sets starts uncached, even one equal
+        # to a cached tree
         coded = []
         monkeypatch.setattr(
             trees, "move_codes", lambda t: coded.append(t) or move_codes(t)
         )
         t = tree_from_prufer([0, 0, 1, 2, 2, 5])
-        first = successor_codes(t)
-        assert successor_codes(t) is first
+        first = move_code_map(t)
+        assert move_code_map(t) is first
+        assert list(first.items()) == [(mv, code) for mv, code, _ in move_codes(t)]
+        assert successor_codes(t) == frozenset(first.values())
+        assert successor_codes(t) is successor_codes(t)
         assert coded == [t]
         moved = move_branch(t, *legal_moves(t)[0])
         frozen = freeze_tree([set(t.neighbors(v)) for v in range(t.n)])
@@ -525,6 +537,64 @@ class TestSuccessorCodes:
                 canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)
             }
             assert len(coded) == 1 and coded[0] is fresh
+
+
+def _by_positions(t: Tree) -> Tree:
+    pos = canonical_positions(t)
+    return Tree(t.n, [(pos[u], pos[v]) for u, v in t.sorted_edges()])
+
+
+def _relabelled(t: Tree, rng: random.Random) -> Tree:
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return relabel(t, dict(enumerate(perm)))
+
+
+class TestCanonicalPositions:
+    """Relabelled by their positions, two trees are equal exactly when their
+    canonical codes are."""
+
+    @staticmethod
+    def _assert_positions_decide_isomorphism(trees_):
+        by_code: dict[str, Tree] = {}
+        for t in trees_:
+            assert sorted(canonical_positions(t)) == list(range(t.n))
+            assert by_code.setdefault(canonical_code(t), _by_positions(t)) == _by_positions(t)
+        assert len(set(by_code.values())) == len(by_code)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_class_relabelled(self, n):
+        rng = random.Random(n)
+        classes = enumerate_trees(n)
+        self._assert_positions_decide_isomorphism(
+            [u for t in classes for u in (t, _relabelled(t, rng), _relabelled(t, rng))]
+        )
+
+    def test_seeded_prufer_trees(self):
+        rng = random.Random(60)
+        sample = _seeded_prufer_trees(40, 60, seed=60)
+        self._assert_positions_decide_isomorphism(
+            sample + [_relabelled(t, rng) for t in sample]
+        )
+
+    def test_cached(self):
+        t = tree_from_prufer([3, 3, 0, 5])
+        assert canonical_positions(t) is canonical_positions(t)
+
+
+class TestMovesVia:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_reads_what_move_codes_codes(self, n, monkeypatch):
+        # each class's map, read onto a relabelled copy: the copy's own
+        # (move, code) pairs in legal_moves' order, with nothing coded
+        rng = random.Random(n)
+        for ref in enumerate_trees(n):
+            ref_moves = move_code_map(ref)
+            copy = _relabelled(ref, rng)
+            want = [(mv, code) for mv, code, _ in move_codes(copy)]
+            monkeypatch.setattr(trees, "_peel_code", None)
+            assert list(moves_via(copy, ref, ref_moves)) == want
+            monkeypatch.undo()
 
 
 class TestCanonicalCode:

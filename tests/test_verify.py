@@ -319,6 +319,7 @@ class TestMoveTraces:
             raise AssertionError("searched")
 
         monkeypatch.setattr(verify, "move_codes", no_search)
+        monkeypatch.setattr(verify, "moves_via", lambda t, ref, ref_moves: no_search(t))
         n = 8
         census = delta_census(n)
         for t in enumerate_trees(n):
@@ -333,6 +334,38 @@ class TestMoveTraces:
                     assert find_move_trace(t, target) is None
         with pytest.raises(AssertionError, match="searched"):
             find_move_trace(chain(n), delta_sequence(star(n)))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_warm_search_codes_only_its_source(self, n, monkeypatch):
+        # a search over classes not yet in the class store codes what the
+        # move_branch search codes; once the theorem pass has stored every
+        # class, a search codes the source alone, and finds the same trace
+        calls = []
+        real = trees._peel_code
+        monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
+        rng = random.Random(n)
+        census = delta_census(n)
+        top = delta_sequence(star(n))
+        classes = [t for t in enumerate_trees(n) if delta_sequence(t) != top]
+        for t in rng.sample(classes, 6):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in t.sorted_edges()]
+            base = delta_sequence(t)
+            above = [s for s in census if compare(base, s) is ComparisonResult.STRICTLY_BELOW]
+            target = above[len(above) // 2]
+            calls.clear()
+            want = _find_move_trace_reference(Tree(n, edges), target)
+            reference_calls = len(calls)
+            verify._classes.cache_clear()
+            verify._class_store.cache_clear()
+            calls.clear()
+            assert find_move_trace(Tree(n, edges), target) == want
+            assert len(calls) == reference_calls
+            verify_majorization_reachability(n)
+            calls.clear()
+            assert find_move_trace(Tree(n, edges), target) == want
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_successor_codes_match_move_branch(self, n):
