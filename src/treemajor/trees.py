@@ -324,11 +324,10 @@ def legal_moves(t: Tree) -> list[tuple[int, int, int]]:
     return moves
 
 
-def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode, list[set[int]]]]:
-    """(move, code, nbrs) for each of :func:`legal_moves`, in its order:
-    ``code`` is the canonical code of the moved tree and ``nbrs`` its
-    neighbour sets, valid only until the next step.  Each move is made on
-    one working adjacency and degree list, coded and undone, with no tree
+def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode]]:
+    """(move, code) for each of :func:`legal_moves`, in its order: ``code``
+    is the canonical code of the moved tree.  Each move is made on one
+    working adjacency and degree list, coded and undone, with no tree
     built."""
     nbrs = [set(ws) for ws in t._adj]
     deg = [len(ws) for ws in t._adj]
@@ -336,7 +335,7 @@ def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode, l
         move_edge(nbrs, donor, gw, target)
         deg[donor] -= 1
         deg[target] += 1
-        yield (donor, gw, target), _peel_code(nbrs, deg[:]), nbrs
+        yield (donor, gw, target), _peel_code(nbrs, deg[:])
         move_edge(nbrs, target, gw, donor)
         deg[donor] += 1
         deg[target] -= 1
@@ -347,7 +346,7 @@ def move_code_map(t: Tree) -> dict[tuple[int, int, int], CanonicalCode]:
     its order, from :func:`move_codes`; computed once and cached like the
     canonical code."""
     if t._moves is None:
-        t._moves = {mv: code for mv, code, _ in move_codes(t)}
+        t._moves = dict(move_codes(t))
     return t._moves
 
 
@@ -412,15 +411,17 @@ def canonical_positions(t: Tree) -> list[int]:
     return pos
 
 
-def moves_via(
-    t: Tree, ref: Tree, ref_moves: dict[tuple[int, int, int], CanonicalCode]
-) -> list[tuple[tuple[int, int, int], CanonicalCode]]:
+def moves_via(t: Tree, ref: Tree) -> list[tuple[tuple[int, int, int], CanonicalCode]]:
     """(move, code) for each of :func:`legal_moves` of ``t``, in its order,
-    with nothing coded: ``ref`` is isomorphic to ``t`` and ``ref_moves`` its
-    complete :func:`move_code_map`.  Each of ref's moves is carried onto
-    ``t`` by ``pos_t^-1 . pos_ref`` (:func:`canonical_positions`), the
-    inverse of ``pos_ref^-1 . pos_t``, with its code; sorting the carried
-    moves gives legal_moves' order without its branch searches."""
+    read from the :func:`move_code_map` of ``ref``, a tree isomorphic to
+    ``t``: t's own pairs when ``ref is t``, and otherwise nothing of t is
+    coded.  Each of ref's moves is carried onto ``t`` by
+    ``pos_t^-1 . pos_ref`` (:func:`canonical_positions`), the inverse of
+    ``pos_ref^-1 . pos_t``, with its code; sorting the carried moves gives
+    legal_moves' order without its branch searches."""
+    ref_moves = move_code_map(ref)
+    if ref is t:
+        return list(ref_moves.items())
     node_at = [0] * t.n
     for v, k in enumerate(canonical_positions(t)):
         node_at[k] = v

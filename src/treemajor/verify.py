@@ -3,12 +3,12 @@ machine-checkable certificates.
 
 Everything here works over isomorphism classes: reachability under
 degree-rule branch moves is invariant under relabeling, so the state space
-is the set of tree classes, whose successors a memo per size codes the
-first time a walk reaches them.  A class store per size keeps one tree of
-each coded class with its move -> code map; the move-trace search reads a
-stored class's successor codes onto any isomorphic tree through canonical
-positions, so it codes only classes no walk has coded.  Certificates carry
-either a concrete move trace (positive evidence) or the full closed
+is the set of tree classes.  One class store per size keeps the one tree
+of each class whose moves are coded, and the tree's own cache holds its
+codes.  The reachability memo reads a class's successors from that tree,
+and the move-trace search reads its moves onto any isomorphic tree
+through canonical positions, so no class is coded twice.  Certificates
+carry either a concrete move trace (positive evidence) or the full closed
 reachable set (negative evidence); :func:`check_certificate` re-verifies
 either kind from the trees it holds, never from the memo or the store.
 """
@@ -46,8 +46,6 @@ from .trees import (
     cycle_graph,
     delta_sequence,
     move_branch,
-    move_code_map,
-    move_codes,
     moves_via,
     successor_codes,
 )
@@ -144,41 +142,42 @@ def check_total_order(n: int) -> OrderReport:
 @lru_cache(maxsize=None)
 def _classes(n: int):
     """The reachability memo of size ``n``: code -> representative, in
-    canonical-code order; code -> degree sequence (none at n=1); code ->
-    successor codes, filled by :func:`_successors`; the (sequence, successor
-    sequence) pairs checked.  Raises BoundExceeded above the bound."""
+    canonical-code order; code -> degree sequence (none at n=1); the codes
+    whose successors :func:`_successors` has checked; the (sequence,
+    successor sequence) pairs checked.  Raises BoundExceeded above the
+    bound."""
     _require_reachability_bound(n)
     reps = {canonical_code(t): t for t in enumerate_trees(n)}
     deltas = {code: delta_sequence(t) for code, t in reps.items() if n > 1}
-    return reps, deltas, {}, set()
+    return reps, deltas, set(), set()
 
 
 @lru_cache(maxsize=None)
-def _class_store(n: int) -> dict[CanonicalCode, tuple[Tree, dict]]:
-    """The class store of size ``n``: code -> a tree of the class and its
-    complete move -> code map, for every class coded so far by
-    :func:`_successors` or :func:`find_move_trace`."""
+def _coded(n: int) -> dict[CanonicalCode, Tree]:
+    """The class store of size ``n``: code -> the one tree of that class
+    whose moves are coded, the first one :func:`_successors` or
+    :func:`find_move_trace` asked for.  Its codes are cached on the tree."""
     return {}
 
 
 def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
-    """Successor codes of one class, coded the first time a walk asks; the
-    representative's move map joins the class store.  A move that does not
-    strictly raise the degree sequence is a library defect and raises
-    RuntimeError before the entry is stored; each distinct (sequence,
-    successor sequence) pair is compared once."""
-    reps, deltas, successors, risen = _classes(n)
-    if code not in successors:
-        codes = _successor_codes(reps[code])
+    """Successor codes of one class, read from its stored tree; the
+    representative is stored, and coded, when no tree of the class is.  A
+    move that does not strictly raise the degree sequence is a library
+    defect and raises RuntimeError each time the class is asked for; each
+    class is checked once, and each distinct (sequence, successor sequence)
+    pair is compared once."""
+    reps, deltas, checked, risen = _classes(n)
+    codes = _successor_codes(_coded(n).setdefault(code, reps[code]))
+    if code not in checked:
         for a, b in {(deltas[code], deltas[nxt]) for nxt in codes} - risen:
             if compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
                 raise RuntimeError(
                     f"degree-rule move did not raise the degree sequence: {a} -> {b}"
                 )
             risen.add((a, b))
-        successors[code] = codes
-        _class_store(n)[code] = (reps[code], move_code_map(reps[code]))
-    return successors[code]
+        checked.add(code)
+    return codes
 
 
 def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
@@ -220,11 +219,12 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     Every move strictly raises the degree sequence, so the order decides
     first: an equal target gives the zero-move trace and one that does not
     strictly dominate ``delta_sequence(t)`` gives None, with no search.
-    A class in the class store has its successors read through
-    :func:`trees.moves_via`, with nothing coded; any other class is coded
-    move by move, and joins the store once all its moves are coded.  A
-    concrete tree is built, by :func:`move_branch` from its parent's, only
-    for a class the search expands or ends on.  Raises BoundExceeded above
+    Each popped class's moves come from :func:`trees.moves_via` and the
+    class store: a stored tree's codes are read onto the popped tree with
+    nothing coded, and a class the store lacks joins it as the popped
+    tree, all its moves coded.  A concrete tree is built, by
+    :func:`move_branch` from its parent's, only for a class the search
+    expands or ends on.  Raises BoundExceeded above
     REACHABILITY_MAX_NODES, and LengthMismatch or NotTreeFeasible for a
     target that is not a tree sequence on ``t.n``.
     """
@@ -235,7 +235,7 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
         return MoveTrace(initial=t, moves=(), final=t)
     if rel is not ComparisonResult.STRICTLY_BELOW:
         return None
-    store = _class_store(t.n)
+    coded = _coded(t.n)
     want = [0] * t.n
     for d in target_delta.values:
         want[d] += 1
@@ -252,15 +252,7 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
         tree = entry[0]
         deg = [tree.degree(v) for v in range(tree.n)]
         hit = _landing_degrees(deg, want)
-        known = store.get(code)
-        if known is not None:
-            moves = moves_via(tree, *known)
-        else:
-            coded: dict = {}
-            moves = ((mv, nxt) for mv, nxt, _ in move_codes(tree))
-        for mv, nxt_code in moves:
-            if known is None:
-                coded[mv] = nxt_code
+        for mv, nxt_code in moves_via(tree, coded.setdefault(code, tree)):
             if nxt_code in info:
                 continue
             info[nxt_code] = [None, code, mv]
@@ -274,8 +266,6 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
             return MoveTrace(
                 initial=t, moves=tuple(reversed(path)), final=move_branch(tree, *mv)
             )
-        if known is None:
-            store[code] = (tree, coded)
     return None
 
 
@@ -325,7 +315,8 @@ def check_certificate(cert: ReachabilityCertificate) -> bool:
     True iff it genuinely proves its claim.  A closure is checked by
     :func:`closure_is_closed`.  A trace that breaks the move rules is
     rejected, and so is a closure whose target is not a tree sequence on
-    ``source.n`` nodes; a trace whose labels are not ints raises TypeError."""
+    ``source.n`` nodes or that holds a tree of another size; a trace whose
+    labels are not ints raises TypeError."""
     if cert.trace is not None:
         trace = cert.trace
         if trace.initial != cert.source:
@@ -339,6 +330,8 @@ def check_certificate(cert: ReachabilityCertificate) -> bool:
     try:
         require_tree_sequence(cert.source.n, cert.target_delta)
     except TreeMajorError:
+        return False
+    if any(t.n != cert.source.n for t in closure):
         return False
     codes = {canonical_code(t) for t in closure}
     if canonical_code(cert.source) not in codes:

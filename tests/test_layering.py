@@ -49,6 +49,24 @@ def foreign_private_attributes(path: Path) -> list[tuple[str, int, str]]:
     ]
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Each name a module imports (from ``__future__`` aside) and never
+    reads, sorted."""
+    module = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(module)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
 def test_package_modules_found():
     assert {"trees", "realize", "enumeration", "verify"} <= {p.stem for p in MODULES}
 
@@ -56,6 +74,13 @@ def test_package_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
 
 
 def test_package_exports_are_the_module_exports():
@@ -154,3 +179,4 @@ def test_guards_catch_violations(tmp_path):
         ("realize", "transfers", "_helper"),
     ]
     assert foreign_private_attributes(bad) == [("realize", 5, "_adj")]
+    assert unused_imports(bad) == ["_adjacency", "_helper", "chain"]

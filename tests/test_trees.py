@@ -502,14 +502,10 @@ class TestLegalMovesAgainstReference:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_move_codes_make_each_legal_move(self, n):
-        # each step's neighbour sets are the moved tree, and are undone
-        # before the next step
         for t in enumerate_trees(n):
-            for (mv, code, nbrs), want_mv in zip(move_codes(t), legal_moves(t), strict=True):
-                want = move_branch(t, *want_mv)
+            for (mv, code), want_mv in zip(move_codes(t), legal_moves(t), strict=True):
                 assert mv == want_mv
-                assert freeze_tree(nbrs) == want
-                assert code == _canonical_code_reference(want)
+                assert code == _canonical_code_reference(move_branch(t, *want_mv))
 
 
 class TestSuccessorCodes:
@@ -525,7 +521,7 @@ class TestSuccessorCodes:
         t = tree_from_prufer([0, 0, 1, 2, 2, 5])
         first = move_code_map(t)
         assert move_code_map(t) is first
-        assert list(first.items()) == [(mv, code) for mv, code, _ in move_codes(t)]
+        assert list(first.items()) == list(move_codes(t))
         assert successor_codes(t) == frozenset(first.values())
         assert successor_codes(t) is successor_codes(t)
         assert coded == [t]
@@ -586,14 +582,16 @@ class TestMovesVia:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_reads_what_move_codes_codes(self, n, monkeypatch):
         # each class's map, read onto a relabelled copy: the copy's own
-        # (move, code) pairs in legal_moves' order, with nothing coded
+        # (move, code) pairs in legal_moves' order, with nothing coded; read
+        # onto the class's own tree, the map's own pairs
         rng = random.Random(n)
         for ref in enumerate_trees(n):
-            ref_moves = move_code_map(ref)
+            own = list(move_code_map(ref).items())
             copy = _relabelled(ref, rng)
-            want = [(mv, code) for mv, code, _ in move_codes(copy)]
+            want = list(move_codes(copy))
             monkeypatch.setattr(trees, "_peel_code", None)
-            assert list(moves_via(copy, ref, ref_moves)) == want
+            assert moves_via(ref, ref) == own
+            assert moves_via(copy, ref) == want
             monkeypatch.undo()
 
 

@@ -94,11 +94,14 @@ def _closure_codes_reference(edges, start):
 @pytest.fixture
 def patched_successors(monkeypatch):
     """The monkeypatch fixture, for a test that patches
-    verify._successor_codes.  The successor memo is cached per n, so it is
-    cleared before and after, and a patched memo never outlives the test."""
+    verify._successor_codes.  The successor memo and the class store are
+    cached per n, so both are cleared before and after, and a patched memo
+    never outlives the test."""
     verify._classes.cache_clear()
+    verify._coded.cache_clear()
     yield monkeypatch
     verify._classes.cache_clear()
+    verify._coded.cache_clear()
 
 
 def _reachability_failures_reference(n, reps, edges):
@@ -318,8 +321,7 @@ class TestMoveTraces:
         def no_search(t):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(verify, "move_codes", no_search)
-        monkeypatch.setattr(verify, "moves_via", lambda t, ref, ref_moves: no_search(t))
+        monkeypatch.setattr(verify, "moves_via", lambda t, ref: no_search(t))
         n = 8
         census = delta_census(n)
         for t in enumerate_trees(n):
@@ -337,9 +339,10 @@ class TestMoveTraces:
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_warm_search_codes_only_its_source(self, n, monkeypatch):
-        # a search over classes not yet in the class store codes what the
-        # move_branch search codes; once the theorem pass has stored every
-        # class, a search codes the source alone, and finds the same trace
+        # a search over classes not yet in the class store codes its source
+        # and every move of each class it pops, each of which it stores;
+        # once the theorem pass has stored every class, a search codes the
+        # source alone, and finds the same trace
         calls = []
         real = trees._peel_code
         monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
@@ -354,14 +357,13 @@ class TestMoveTraces:
             base = delta_sequence(t)
             above = [s for s in census if compare(base, s) is ComparisonResult.STRICTLY_BELOW]
             target = above[len(above) // 2]
-            calls.clear()
             want = _find_move_trace_reference(Tree(n, edges), target)
-            reference_calls = len(calls)
             verify._classes.cache_clear()
-            verify._class_store.cache_clear()
+            verify._coded.cache_clear()
             calls.clear()
             assert find_move_trace(Tree(n, edges), target) == want
-            assert len(calls) == reference_calls
+            popped = verify._coded(n).values()
+            assert len(calls) == 1 + sum(len(legal_moves(t)) for t in popped)
             verify_majorization_reachability(n)
             calls.clear()
             assert find_move_trace(Tree(n, edges), target) == want
@@ -387,17 +389,19 @@ class TestCertificates:
         assert check_certificate(cert)
 
     def test_checking_a_closure_just_built_codes_nothing(self, monkeypatch):
-        # the closure's members are the memo's representatives, whose
-        # successor codes the walk cached; fresh copies are coded on their
-        # own, and a copy missing one member reached by a move is rejected
+        # on a cleared memo and store, the closure's members are the memo's
+        # representatives, whose successor codes the walk cached; fresh
+        # copies are coded on their own, and a copy missing one member
+        # reached by a move is rejected
+        verify._classes.cache_clear()
+        verify._coded.cache_clear()
         n = 9
         spider = Tree(n, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (0, 8)])
         cert = certify_reachability(spider, delta_sequence(chain(n)))
         assert len(cert.closure) == 41
         coded = []
         real = trees.move_codes
-        for module in (trees, verify):
-            monkeypatch.setattr(module, "move_codes", lambda t: coded.append(t) or real(t))
+        monkeypatch.setattr(trees, "move_codes", lambda t: coded.append(t) or real(t))
         assert check_certificate(cert)
         assert coded == []
         rng = random.Random(n)
@@ -432,6 +436,17 @@ class TestCertificates:
             target_delta=cert.target_delta,
             trace=cert.trace,
             closure=None,
+        )
+        assert not check_certificate(forged)
+
+    def test_closure_of_another_size_fails(self):
+        # a closed set whose members are smaller trees proves nothing about
+        # the source's size
+        forged = ReachabilityCertificate(
+            source=star(5),
+            target_delta=delta_sequence(chain(5)),
+            trace=None,
+            closure=(star(5), star(4), chain(3)),
         )
         assert not check_certificate(forged)
 
@@ -519,6 +534,21 @@ class TestMajorizationReachability:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
             verify_majorization_reachability(REACHABILITY_MAX_NODES + 1)
+
+    @pytest.mark.parametrize("n, classes", [(10, 106), (12, 551)])
+    def test_a_pass_after_a_cold_search_codes_no_class_twice(self, n, classes, monkeypatch):
+        # the chain -> star search stores every class it pops, moves coded,
+        # and the pass reads them from the store: it codes the enumeration's
+        # one canonical code per class, and the star, which has no moves
+        verify._classes.cache_clear()
+        verify._coded.cache_clear()
+        calls = []
+        real = trees._peel_code
+        monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
+        find_move_trace(chain(n), delta_sequence(star(n)))
+        calls.clear()
+        assert verify_majorization_reachability(n) == (True, [])
+        assert len(calls) == len(verify._classes(n)[0]) == classes
 
     def test_failure_certificates_when_a_move_is_missing(self, patched_successors):
         # drop the move from the 5,2,1,... class to the star, its one
