@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import NotTreeFeasible, ParseError, dict_fields, list_of
+from .errors import NotTreeFeasible, dict_fields, list_of
 from .sequences import DeltaSequence, validate_tree_sequence
 from .transfers import TransferPlan, plan_transfers, step_values
 from .trees import (
@@ -21,7 +21,6 @@ from .trees import (
     freeze_tree,
     move_edge,
     neighbor_toward,
-    parse_tree,
     tree_from_dict,
     tree_to_dict,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "realize_direct",
     "replay_plan_on_tree",
     "format_trace",
-    "parse_trace",
     "trace_to_dict",
     "trace_from_dict",
 ]
@@ -145,40 +143,6 @@ def format_trace(trace: MoveTrace) -> str:
     parts.extend(f"{d} {g} {r}" for d, g, r in trace.moves)
     parts.append(format_tree(trace.final))
     return "\n".join(parts)
-
-
-def parse_trace(text: str) -> MoveTrace:
-    """Inverse of :func:`format_trace`.
-
-    Tree blocks are self-delimiting (node count line, then n-1 edge lines);
-    move lines carry three labels, so the single-integer line that starts
-    the final block is unambiguous.
-    """
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty trace text")
-
-    def read_tree(pos: int) -> tuple[Tree, int]:
-        try:
-            n = int(lines[pos])
-        except (ValueError, IndexError):
-            raise ParseError(f"expected a node count at line {pos + 1}") from None
-        block = lines[pos : pos + n]  # count line plus n-1 edges
-        return parse_tree("\n".join(block)), pos + n
-
-    initial, pos = read_tree(0)
-    moves = []
-    while pos < len(lines) and len(lines[pos].split()) == 3:
-        a, b, c = lines[pos].split()
-        try:
-            moves.append((int(a), int(b), int(c)))
-        except ValueError:
-            raise ParseError(f"bad move line {lines[pos]!r}") from None
-        pos += 1
-    final, pos = read_tree(pos)
-    if pos != len(lines):
-        raise ParseError("trailing lines after the final tree block")
-    return MoveTrace(initial=initial, moves=tuple(moves), final=final)
 
 
 def trace_to_dict(trace: MoveTrace) -> dict:

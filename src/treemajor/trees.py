@@ -53,10 +53,13 @@ CanonicalCode = str
 
 def _adjacency(
     n: int, edges: Iterable[tuple[int, int]]
-) -> tuple[list[list[int]], int]:
+) -> tuple[list[list[int]] | None, int]:
     # the sorted neighbour lists and the edge count; edges are checked in
-    # input order, so the first bad edge is the one reported
-    adj: list[list[int]] = [[] for _ in range(n)]
+    # input order, so the first bad edge is the one reported.  Fewer than n-1
+    # edges cannot connect n nodes: no lists are made for them (None), so
+    # memory follows the size of the input, not n
+    edges = list(edges)
+    adj = [[] for _ in range(n)] if len(edges) >= n - 1 else None
     seen = set()
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
@@ -69,8 +72,11 @@ def _adjacency(
         if e in seen:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
-        adj[u].append(v)
-        adj[v].append(u)
+        if adj is not None:
+            adj[u].append(v)
+            adj[v].append(u)
+    if adj is None:
+        return None, len(seen)
     for nbrs in adj:
         nbrs.sort()
     return adj, len(seen)
@@ -94,7 +100,7 @@ class Graph:
             raise ValueError(f"need at least one node, got n={n}")
         adj, m = _adjacency(n, edges)
         self._check_edge_count(n, m)
-        if -1 in _branch_sides(adj, 0):
+        if adj is None or -1 in _branch_sides(adj, 0):
             raise NotConnected(f"{m} edges do not connect all {n} nodes")
         self.n = n
         self._adj = tuple(tuple(nbrs) for nbrs in adj)

@@ -7,7 +7,9 @@ is the set of tree classes.  One class store per size keeps the one tree
 of each class whose moves are coded, and the tree's own cache holds its
 codes.  The reachability memo reads a class's successors from that tree,
 and the move-trace search reads its moves onto any isomorphic tree
-through canonical positions, so no class is coded twice.  Certificates
+through canonical positions, so no class is coded twice.  The memo is a
+plain cache: only the theorem pass checks that each move raises the
+degree sequence, and closure walks trust the moves.  Certificates
 carry either a concrete move trace (positive evidence) or the full closed
 reachable set (negative evidence); :func:`check_certificate` re-verifies
 either kind from the trees it holds, never from the memo or the store.
@@ -74,11 +76,11 @@ __all__ = [
 
 #: A reachability walk codes every tree class of its size at worst (the
 #: chain reaches them all).  The budget is under 1 s for every reachability
-#: operation at the bound on a 2-vCPU machine: at n=12 the cold theorem pass
-#: took 0.25-0.33 s, and the largest negative certificate (a 525-class
-#: closure) 0.17-0.38 s to build cold and 0.002-0.005 s to check (0.18-0.23 s
-#: with fresh copies of its members); at n=13 the theorem pass took
-#: 0.61-0.97 s, too close to the budget.
+#: operation at the bound on a 2-vCPU machine: at n=12 the cold theorem pass,
+#: forward check included, took 0.20-0.28 s, and the largest negative
+#: certificate (a 525-class closure) 0.22-0.28 s to build cold and
+#: 0.003-0.005 s to check (0.19-0.25 s with fresh copies of its members); at
+#: n=13 the theorem pass took 0.51-0.87 s, too close to the budget.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
 #: At most this many random extra edges join each sampled graph's tree.
@@ -142,14 +144,12 @@ def check_total_order(n: int) -> OrderReport:
 @lru_cache(maxsize=None)
 def _classes(n: int):
     """The reachability memo of size ``n``: code -> representative, in
-    canonical-code order; code -> degree sequence (none at n=1); the codes
-    whose successors :func:`_successors` has checked; the (sequence,
-    successor sequence) pairs checked.  Raises BoundExceeded above the
-    bound."""
+    canonical-code order; code -> degree sequence (none at n=1).  Raises
+    BoundExceeded above the bound."""
     _require_reachability_bound(n)
     reps = {canonical_code(t): t for t in enumerate_trees(n)}
     deltas = {code: delta_sequence(t) for code, t in reps.items() if n > 1}
-    return reps, deltas, set(), set()
+    return reps, deltas
 
 
 @lru_cache(maxsize=None)
@@ -162,27 +162,9 @@ def _coded(n: int) -> dict[CanonicalCode, Tree]:
 
 def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
     """Successor codes of one class, read from its stored tree; the
-    representative is stored, and coded, when no tree of the class is.  A
-    move that does not strictly raise the degree sequence is a library
-    defect and raises RuntimeError each time the class is asked for; each
-    class is checked once, and each distinct (sequence, successor sequence)
-    pair is compared once."""
-    reps, deltas, checked, risen = _classes(n)
-    codes = _successor_codes(_coded(n).setdefault(code, reps[code]))
-    if code not in checked:
-        for a, b in {(deltas[code], deltas[nxt]) for nxt in codes} - risen:
-            if compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
-                raise RuntimeError(
-                    f"degree-rule move did not raise the degree sequence: {a} -> {b}"
-                )
-            risen.add((a, b))
-        checked.add(code)
-    return codes
-
-
-def _successor_codes(t: Tree) -> frozenset[CanonicalCode]:
-    """Codes of the classes one degree-rule move away from ``t``, cached on it."""
-    return successor_codes(t)
+    representative is stored, and coded, when no tree of the class is.
+    Nothing is checked here: the theorem pass owns the forward check."""
+    return successor_codes(_coded(n).setdefault(code, _classes(n)[0][code]))
 
 
 def _require_reachability_bound(n: int) -> None:
@@ -307,7 +289,7 @@ def closure_is_closed(trees: tuple[Tree, ...]) -> bool:
     set (up to isomorphism).  A tree's successor codes are cached on it like
     its canonical code: those a walk coded are reused, others coded fresh."""
     codes = {canonical_code(t) for t in trees}
-    return all(_successor_codes(t) <= codes for t in trees)
+    return all(successor_codes(t) <= codes for t in trees)
 
 
 def check_certificate(cert: ReachabilityCertificate) -> bool:
@@ -346,30 +328,39 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     dominance between census sequences coincides with branch-move
     reachability.
 
-    Forward direction: every move strictly raises the degree sequence; the
-    memo checks this as it codes each class's successors and raises
-    RuntimeError on a violation (a library defect).  Converse: for every
-    class T and every cover b of delta(T), one move from T reaches b.  That
-    is exact, since a path to a cover is one move and covers chain every
-    strict pair a < b.  Each (class, cover) pair that fails yields a
-    closed-set certificate, in canonical class order then cover order.
-    Returns (all_ok, certificates-for-failures).
+    Forward direction: every move strictly raises the degree sequence.  The
+    pass owns this check: it compares each distinct (class sequence,
+    successor sequence) pair once and raises RuntimeError on a violation (a
+    library defect).  Converse: for every class T and every cover b of
+    delta(T), one move from T reaches b.  That is exact, since a path to a
+    cover is one move and covers chain every strict pair a < b.  Each
+    (class, cover) pair that fails yields a closed-set certificate, in
+    canonical class order then cover order.  Returns (all_ok,
+    certificates-for-failures).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    reps, deltas, _, _ = _classes(n)
+    reps, deltas = _classes(n)
     census = delta_census(n)
     covers = {a: [] for a in census}
     for a, b in _covers(census):
         covers[a].append(b)
+    risen = set()  # the (sequence, successor sequence) pairs compared
     failures = []
     for code, t in reps.items():
+        a = deltas[code]
         reached = {deltas[x] for x in _successors(n, code)}
+        for b in reached:
+            if (a, b) not in risen and compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
+                raise RuntimeError(
+                    f"degree-rule move did not raise the degree sequence: {a} -> {b}"
+                )
+            risen.add((a, b))
         failures += [
             ReachabilityCertificate(
                 source=t, target_delta=b, trace=None, closure=reachability_closure(t)
             )
-            for b in covers[deltas[code]]
+            for b in covers[a]
             if b not in reached
         ]
     return (not failures, failures)
@@ -395,7 +386,7 @@ def find_unreachable_pair(
         raise NotMajorized(f"{s} is not strictly below {s_prime} ({rel})")
     require_tree_sequence(n, s_prime)
     require_tree_sequence(n, s)
-    reps, deltas, _, _ = _classes(n)
+    reps, deltas = _classes(n)
     targets = [code for code, d in deltas.items() if d == s_prime]
     for code, d in deltas.items():
         if d == s:

@@ -10,6 +10,7 @@ from treemajor import (
     parse_sequence,
     parse_tree,
     plan_from_dict,
+    format_trace,
     replay,
     trace_from_dict,
     tree_from_dict,
@@ -145,13 +146,13 @@ class TestPlan:
 
 class TestRealize:
     def test_chain_method_trace_parses(self, capsys):
-        code, out, _ = run(capsys, "realize", "5,2,2,1,1,1,1,1")
+        code, out, _ = run(capsys, "realize", "5,2,2,1,1,1,1,1", "--format", "structured")
         assert code == 0
-        from treemajor import parse_trace
-
-        trace = parse_trace(out)
+        trace = trace_from_dict(json.loads(out)["trace"])
         assert delta_sequence(trace.final).values == (5, 2, 2, 1, 1, 1, 1, 1)
         assert apply_moves(trace.initial, trace.moves) == trace.final
+        code, out, _ = run(capsys, "realize", "5,2,2,1,1,1,1,1")
+        assert code == 0 and out == format_trace(trace) + "\n"
 
     def test_direct_method(self, capsys):
         code, out, _ = run(capsys, "realize", "4,4,1,1,1,1,1,1", "--method", "direct")
@@ -260,10 +261,10 @@ class TestVerify:
         # drop the 5,2,1,... class's one move to the star, its one cover
         hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
         star_code = canonical_code(star(7))
-        real = verify._successor_codes
+        real = verify.successor_codes
         monkeypatch.setattr(
             verify,
-            "_successor_codes",
+            "successor_codes",
             lambda t: real(t) - {star_code} if delta_sequence(t) == hub else real(t),
         )
         verify._classes.cache_clear()  # the memo of n=7 is cached

@@ -118,7 +118,7 @@ PUBLIC_NAMES = {
         canonical_code chain complete_graph cycle_graph
         delta_sequence format_tree is_isomorphic legal_moves move_branch
         parse_tree star tree_from_dict tree_to_dict tree_to_dot""",
-    "realize": """MoveTrace format_trace parse_trace realize_direct
+    "realize": """MoveTrace format_trace realize_direct
         realize_from_chain replay_plan_on_tree trace_from_dict trace_to_dict""",
     "enumeration": """CENSUS_MAX_NODES MAX_NODES delta_census enumerate_trees
         tree_from_prufer trees_with_delta""",
@@ -142,7 +142,7 @@ def test_star_import_binds_the_pinned_surface():
         source = importlib.import_module(f"treemajor.{module}")
         expected[module] = source
         expected.update((name, getattr(source, name)) for name in names.split())
-    assert len(expected) == 86 + 7
+    assert len(expected) == 85 + 7
     assert bound.keys() == expected.keys()
     for name, value in expected.items():
         assert bound[name] is value, name

@@ -23,9 +23,7 @@ from treemajor import (
     delta_census,
     delta_sequence,
     enumerate_trees,
-    format_trace,
     is_isomorphic,
-    parse_trace,
     plan_from_dict,
     plan_to_dict,
     plan_transfers,
@@ -225,14 +223,6 @@ class TestReplayPlanOnTree:
 
 
 class TestTraceSerialization:
-    def test_text_round_trip(self):
-        trace = realize_from_chain(DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]))
-        assert parse_trace(format_trace(trace)) == trace
-
-    def test_text_round_trip_empty_moves(self):
-        trace = realize_from_chain(DeltaSequence([1, 1]))
-        assert parse_trace(format_trace(trace)) == trace
-
     def test_dict_round_trip(self):
         trace = realize_from_chain(DeltaSequence([4, 2, 2, 2, 1, 1, 1, 1]))
         assert trace_from_dict(trace_to_dict(trace)) == trace

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +215,28 @@ class TestTreeConstruction:
     def test_single_node(self):
         t = Tree(1, [])
         assert t.n == 1 and not t.edges
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda n: Tree(n, [(0, 1)]), ValueError, "needs 999999 edges, got 1$"),
+            (lambda n: Graph(n, [(0, 1)]), NotConnected, "^1 edges do not connect all 1000000 nodes$"),
+            (lambda n: tree_from_dict({"n": n, "edges": []}), ValueError, "needs 999999 edges, got 0$"),
+            (lambda n: parse_tree(f"{n}\n0 1"), ParseError, "needs 999999 edges, got 1$"),
+        ],
+        ids=["Tree", "Graph", "tree_from_dict", "parse_tree"],
+    )
+    def test_too_few_edges_cost_memory_of_the_input_not_of_n(self, build, error, message):
+        # a short edge list is rejected before one neighbour list per node
+        # is made, which would take about 80 MB at n = 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                build(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestBuilders:
