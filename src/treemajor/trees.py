@@ -231,11 +231,11 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
     return [Branch(root=m, gateway=c, members=frozenset(vs)) for c, vs in members.items()]
 
 
-def freeze_tree(nbrs: Sequence[set[int]]) -> Tree:
-    """The tree with neighbour sets ``nbrs``, not re-validated: only for
-    neighbour sets that form a tree by construction, such as the working
-    adjacency of a valid tree changed by branch moves or a decoded Prufer
-    sequence over checked labels."""
+def freeze_tree(nbrs: Sequence[Iterable[int]]) -> Tree:
+    """The tree with neighbours ``nbrs[v]`` of each node ``v``, not
+    re-validated: only for neighbours that form a tree by construction, as
+    the sets of a valid tree changed by branch moves or of a decoded Prufer
+    sequence, or the sorted lists built from a level sequence."""
     t = Tree.__new__(Tree)
     t.n = len(nbrs)
     t._adj = tuple(tuple(sorted(ws)) for ws in nbrs)

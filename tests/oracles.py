@@ -1,7 +1,8 @@
 """Slow independent oracles shared by the tests: the centroids of a built
-tree from its subtree sizes, every free tree class from all Prufer
-sequences, and the branch searches and branch move by depth-first search
-from the far side."""
+tree from its subtree sizes, every rooted level sequence with no rooting
+skipped, Otter's counts of rooted and free trees, every free tree class
+from all Prufer sequences, and the branch searches and branch move by
+depth-first search from the far side."""
 
 from itertools import product
 
@@ -44,6 +45,52 @@ def centroids(t: Tree) -> tuple[int, ...]:
         elif heaviest == best_val:
             best.append(v)
     return tuple(sorted(best))
+
+
+def rooted_level_sequences(n: int):
+    """Canonical level sequences of all rooted trees on ``n`` nodes, in
+    descending lexicographic order (Beyer and Hedetniemi): find the last
+    level > 1, truncate there, and tile the tail with the segment starting
+    at that node's parent.  No sequence is skipped or filtered."""
+    seq = list(range(n))  # the path, lexicographically largest
+    while True:
+        yield seq
+        p = n - 1
+        while seq[p] == 1:
+            p -= 1
+        if p == 0:
+            return  # the star, lexicographically smallest
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        nxt = seq[:p]
+        while len(nxt) < n:
+            nxt.append(nxt[len(nxt) - (p - q)])
+        seq = nxt
+
+
+def rooted_tree_counts(limit: int) -> list[int]:
+    """r[n], the number of rooted trees on n nodes, for n = 0..limit (OEIS
+    A000081): r[n+1] = (1/n) sum_k (sum_{d | k} d r[d]) r[n-k+1]."""
+    r = [0, 1]
+    for n in range(1, limit):
+        total = 0
+        for k in range(1, n + 1):
+            total += sum(d * r[d] for d in range(1, k + 1) if k % d == 0) * r[n - k + 1]
+        r.append(total // n)
+    return r[: limit + 1]
+
+
+def free_tree_count(n: int) -> int:
+    """The number of free trees on ``n`` >= 1 nodes (OEIS A000055), by
+    Otter's formula: the rooted count less the unordered pairs of distinct
+    rooted trees whose sizes sum to n, that is, the trees rooted at an edge
+    whose two ends no automorphism swaps."""
+    r = rooted_tree_counts(n)
+    pairs = sum(r[k] * r[n - k] for k in range(1, n))
+    if n % 2 == 0:
+        pairs -= r[n // 2]
+    return r[n] - pairs // 2
 
 
 def enumerate_trees_bruteforce(n: int) -> list[Tree]:

@@ -23,30 +23,50 @@ from treemajor import (
 from treemajor import enumeration
 from treemajor.enumeration import (
     MAX_NODES,
-    _centroid_rooted_tree,
     _level_sequences,
     _prufer_edges,
     _tree_from_levels,
 )
-from oracles import centroids, enumerate_trees_bruteforce
+from oracles import (
+    centroids,
+    enumerate_trees_bruteforce,
+    free_tree_count,
+    rooted_level_sequences,
+    rooted_tree_counts,
+)
 from test_trees import _rooted_code_reference
 
-# counts of rooted and free trees by node count (standard references; the
-# free counts are OEIS A000055 up to MAX_NODES)
-ROOTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
+# counts of rooted and free trees by node count (standard references, OEIS
+# A000081 and A000055; the free counts run up to MAX_NODES)
+ROOTED_COUNTS = {
+    1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115, 9: 286, 10: 719,
+    11: 1842, 12: 4766,
+}
 FREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
     11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
 
 
+def _validated_tree_from_levels(levels):
+    # each node's parent is the last node one level up; built by the
+    # validating constructor
+    edges = []
+    last_at_level = [0] * len(levels)
+    for v, lvl in enumerate(levels[1:], 1):
+        edges.append((last_at_level[lvl - 1], v))
+        last_at_level[lvl] = v
+    return Tree(len(levels), edges)
+
+
 def _enumerate_trees_reference(n):
     """The filter on built trees: validate a Tree for every rooted level
-    sequence, keep it iff its root is a centroid, and of a bicentroidal
-    tree's two rootings keep the one whose half codes no lower."""
+    sequence of the oracle walk, keep it iff its root is a centroid, and of
+    a bicentroidal tree's two rootings keep the one whose half codes no
+    lower."""
     out = []
-    for levels in _level_sequences(n):
-        t = _tree_from_levels(levels)
+    for levels in rooted_level_sequences(n):
+        t = _validated_tree_from_levels(levels)
         cents = centroids(t)
         if 0 not in cents:
             continue
@@ -60,12 +80,14 @@ def _enumerate_trees_reference(n):
 
 
 class TestLevelSequences:
+    """The oracle walk over every rooted tree."""
+
     @pytest.mark.parametrize("n,count", sorted(ROOTED_COUNTS.items()))
     def test_rooted_tree_counts(self, n, count):
-        assert sum(1 for _ in _level_sequences(n)) == count
+        assert sum(1 for _ in rooted_level_sequences(n)) == count == rooted_tree_counts(n)[n]
 
     def test_descending_lexicographic(self):
-        seqs = [tuple(s) for s in _level_sequences(6)]
+        seqs = [tuple(s) for s in rooted_level_sequences(6)]
         assert seqs == sorted(seqs, reverse=True)
         assert seqs[0] == (0, 1, 2, 3, 4, 5)
         assert seqs[-1] == (0, 1, 1, 1, 1, 1)
@@ -74,7 +96,10 @@ class TestLevelSequences:
 class TestEnumerateTrees:
     @pytest.mark.parametrize("n,count", sorted(FREE_COUNTS.items()))
     def test_class_counts(self, n, count):
-        assert len(enumerate_trees(n)) == count
+        assert len(enumerate_trees(n)) == count == free_tree_count(n)
+
+    def test_class_counts_cover_every_accepted_n(self):
+        assert sorted(FREE_COUNTS) == list(range(1, MAX_NODES + 1))
 
     def test_pairwise_non_isomorphic(self):
         for n in (5, 6, 7, 8):
@@ -103,12 +128,18 @@ class TestEnumerateTrees:
         with pytest.raises(ValueError):
             enumerate_trees(0)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_non_int_node_count(self, n):
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            enumerate_trees(n)
+
     @pytest.mark.parametrize("n", range(1, 15))
     def test_matches_reference_filter(self, n):
-        # same labels and same order, not just the same classes
-        assert [t.edges for t in enumerate_trees(n)] == [
-            t.edges for t in _enumerate_trees_reference(n)
-        ]
+        # same labels and same order, not just the same classes; equal trees
+        # also hold equal sorted neighbour tuples
+        got, want = enumerate_trees(n), _enumerate_trees_reference(n)
+        assert [t.edges for t in got] == [t.edges for t in want]
+        assert got == want
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_rooted_at_a_centroid(self, n):
@@ -123,15 +154,22 @@ class TestEnumerateTrees:
 
     @pytest.mark.parametrize("n", [5, 6, 8, 9, 10, 11, 12])
     def test_tree_built_only_for_a_kept_class(self, n, monkeypatch):
-        # the rejected rooting of a bicentroidal tree builds no Tree either
+        # the rejected rooting of a bicentroidal tree builds no Tree either,
+        # and no kept one goes through the validating constructor
         builds = []
+        validated = []
 
         def counting(levels):
             builds.append(tuple(levels))
             return _tree_from_levels(levels)
 
+        def validating(self, *args):
+            validated.append(args)
+
         monkeypatch.setattr(enumeration, "_tree_from_levels", counting)
+        monkeypatch.setattr(Tree, "__init__", validating)
         assert len(enumerate_trees(n)) == FREE_COUNTS[n] == len(builds)
+        assert validated == []
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_bruteforce_oracle(self, n):
@@ -144,7 +182,8 @@ class TestEnumerateTrees:
 
 class TestCentroidFilter:
     """Hand-built level sequences at the n/2 boundary of the largest root
-    branch; each is a canonical sequence the generator yields."""
+    branch.  Each is a canonical sequence of the oracle walk; the kept walk
+    yields the kept ones and skips the rejected ones."""
 
     # both rootings of a bicentroidal tree: the kept one, whose half codes
     # no lower than the other centroid's, and the rejected one
@@ -156,25 +195,25 @@ class TestCentroidFilter:
     @pytest.mark.parametrize("kept,rejected", ROOTINGS)
     def test_branch_of_exactly_half(self, kept, rejected):
         n = len(kept)
-        assert kept in list(_level_sequences(n))
-        assert rejected in list(_level_sequences(n))
-        t = _centroid_rooted_tree(kept)
-        assert t is not None
-        assert t.edges == _tree_from_levels(kept).edges
+        rooted = list(rooted_level_sequences(n))
+        walk = list(_level_sequences(n))
+        assert kept in rooted and kept in walk
+        assert rejected in rooted and rejected not in walk
+        t = _tree_from_levels(kept)
         c0, twin = centroids(t)
         assert c0 == 0
         assert _rooted_code_reference(t, 0, twin) > _rooted_code_reference(t, twin, 0)
         other = _tree_from_levels(rejected)
         assert len(centroids(other)) == 2
         assert is_isomorphic(other, t)
-        assert _centroid_rooted_tree(rejected) is None
 
     @pytest.mark.parametrize("n", range(2, 15, 2))
     def test_half_comparison_matches_the_coded_halves(self, n):
         # the rule on built trees as the oracle: code both halves and keep
         # the rooting whose own half codes no lower
+        walk = {tuple(levels) for levels in _level_sequences(n)}
         checked = 0
-        for levels in _level_sequences(n):
+        for levels in rooted_level_sequences(n):
             starts = [v for v in range(1, n) if levels[v] == 1]
             sizes = [end - start for start, end in zip(starts, starts[1:] + [n])]
             if 2 * max(sizes) != n:
@@ -182,15 +221,14 @@ class TestCentroidFilter:
             twin = starts[sizes.index(n // 2)]
             t = _tree_from_levels(levels)
             kept = _rooted_code_reference(t, 0, twin) >= _rooted_code_reference(t, twin, 0)
-            assert (_centroid_rooted_tree(levels) is not None) == kept, levels
+            assert (tuple(levels) in walk) == kept, levels
             checked += 1
         assert checked > 0
 
     def test_branch_of_exactly_half_with_equal_halves(self):
         # one edge: both ends are centroids and the two rootings coincide
-        t = _centroid_rooted_tree([0, 1])
-        assert t is not None
-        assert centroids(t) == (0, 1)
+        assert list(_level_sequences(2)) == [[0, 1]]
+        assert centroids(_tree_from_levels([0, 1])) == (0, 1)
 
     @pytest.mark.parametrize(
         "levels",
@@ -202,9 +240,9 @@ class TestCentroidFilter:
         ],
     )
     def test_branch_above_half_rejected(self, levels):
-        assert levels in list(_level_sequences(len(levels)))
+        assert levels in list(rooted_level_sequences(len(levels)))
+        assert levels not in list(_level_sequences(len(levels)))
         assert 0 not in centroids(_tree_from_levels(levels))
-        assert _centroid_rooted_tree(levels) is None
 
 
 class TestPrufer:
@@ -275,6 +313,11 @@ class TestDeltaCensus:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
             delta_census(1)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_non_int_node_count(self, n):
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            delta_census(n)
 
 
 class TestTreesWithDelta:
