@@ -155,7 +155,7 @@ def tree_from_prufer(seq: Sequence[int]) -> Tree:
     for u, v in _prufer_edges(seq, n):
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return freeze_tree(nbrs)
+    return freeze_tree([sorted(ws) for ws in nbrs])
 
 
 def _partitions_desc(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:

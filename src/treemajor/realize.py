@@ -133,7 +133,8 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
         heappush(by_degree.setdefault(receiver_value + 1, []), receiver)
         heappush(by_degree.setdefault(donor_value - 1, []), donor)
         moves.append((donor, gateway, receiver))
-    return MoveTrace(initial=t, moves=tuple(moves), final=freeze_tree(nbrs))
+    final = freeze_tree([sorted(ws) for ws in nbrs])
+    return MoveTrace(initial=t, moves=tuple(moves), final=final)
 
 
 def format_trace(trace: MoveTrace) -> str:

@@ -95,7 +95,10 @@ def basic_transfer(s: DeltaSequence, i: int, j: int) -> DeltaSequence:
 
     The donor value must be at least 2 so no value ever drops below 1.
     With ``i < j`` (the tree variant) the result strictly dominates ``s``.
+    Ranks must be ints (TypeError otherwise; a bool is not one).
     """
+    if type(i) is not int or type(j) is not int:
+        raise TypeError(f"ranks must be ints, got i={i!r}, j={j!r}")
     vals = list(s.values)
     transfer_in_place(vals, i, j)
     return DeltaSequence(vals)

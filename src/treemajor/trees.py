@@ -11,7 +11,7 @@ strictly up the majorization order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegreeRuleViolation,
@@ -131,19 +131,17 @@ class Tree(Graph):
     """A labeled free tree on nodes 0..n-1: a connected graph with exactly
     n-1 edges.
 
-    Trees compare by value.  The canonical code and positions, the move ->
-    code map and the successor codes are each computed once on demand and
-    cached.
+    Trees compare by value.  The canonical code and positions and the move
+    -> code map are each computed once on demand and cached.
     """
 
-    __slots__ = ("_code", "_positions", "_moves", "_successors")
+    __slots__ = ("_code", "_positions", "_moves")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
         self._code: CanonicalCode | None = None
         self._positions: list[int] | None = None
         self._moves: dict[tuple[int, int, int], CanonicalCode] | None = None
-        self._successors: frozenset[CanonicalCode] | None = None
 
     def _check_edge_count(self, n: int, m: int) -> None:
         if m != n - 1:
@@ -231,18 +229,18 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
     return [Branch(root=m, gateway=c, members=frozenset(vs)) for c, vs in members.items()]
 
 
-def freeze_tree(nbrs: Sequence[Iterable[int]]) -> Tree:
-    """The tree with neighbours ``nbrs[v]`` of each node ``v``, not
-    re-validated: only for neighbours that form a tree by construction, as
-    the sets of a valid tree changed by branch moves or of a decoded Prufer
-    sequence, or the sorted lists built from a level sequence."""
+def freeze_tree(nbrs: Sequence[Sequence[int]]) -> Tree:
+    """The tree with the ascending neighbour list ``nbrs[v]`` of each node
+    ``v``, copied as given: neither sorted nor re-validated, so only for
+    sorted neighbours that form a tree by construction, as those of a valid
+    tree changed by branch moves, of a decoded Prufer sequence or of a
+    level sequence."""
     t = Tree.__new__(Tree)
     t.n = len(nbrs)
-    t._adj = tuple(tuple(sorted(ws)) for ws in nbrs)
+    t._adj = tuple(map(tuple, nbrs))
     t._code = None
     t._positions = None
     t._moves = None
-    t._successors = None
     return t
 
 
@@ -283,7 +281,7 @@ def _move_branches(t: Tree, moves, enforce_degree_rule: bool) -> Tree:
                 f"target degree {len(nbrs[target])} < donor degree {len(nbrs[donor])}"
             )
         move_edge(nbrs, donor, gateway, target)
-    return freeze_tree(nbrs)
+    return freeze_tree([sorted(ws) for ws in nbrs])
 
 
 def move_branch(
@@ -330,38 +328,26 @@ def legal_moves(t: Tree) -> list[tuple[int, int, int]]:
     return moves
 
 
-def move_codes(t: Tree) -> Iterator[tuple[tuple[int, int, int], CanonicalCode]]:
-    """(move, code) for each of :func:`legal_moves`, in its order: ``code``
-    is the canonical code of the moved tree.  Each move is made on one
-    working adjacency and degree list, coded and undone, with no tree
-    built."""
-    nbrs = [set(ws) for ws in t._adj]
-    deg = [len(ws) for ws in t._adj]
-    for donor, gw, target in legal_moves(t):
-        move_edge(nbrs, donor, gw, target)
-        deg[donor] -= 1
-        deg[target] += 1
-        yield (donor, gw, target), _peel_code(nbrs, deg[:])
-        move_edge(nbrs, target, gw, donor)
-        deg[donor] += 1
-        deg[target] -= 1
-
-
 def move_code_map(t: Tree) -> dict[tuple[int, int, int], CanonicalCode]:
-    """Move -> code of the moved tree for each of :func:`legal_moves`, in
-    its order, from :func:`move_codes`; computed once and cached like the
-    canonical code."""
+    """Move -> canonical code of the moved tree for each of
+    :func:`legal_moves`, in its order; computed once and cached like the
+    canonical code.  Its values are the classes one degree-rule move away.
+    Each move is made on one working adjacency and degree list, coded and
+    undone, with no tree built."""
     if t._moves is None:
-        t._moves = dict(move_codes(t))
+        nbrs = [set(ws) for ws in t._adj]
+        deg = [len(ws) for ws in t._adj]
+        moves = {}
+        for donor, gw, target in legal_moves(t):
+            move_edge(nbrs, donor, gw, target)
+            deg[donor] -= 1
+            deg[target] += 1
+            moves[donor, gw, target] = _peel_code(nbrs, deg[:])
+            move_edge(nbrs, target, gw, donor)
+            deg[donor] += 1
+            deg[target] -= 1
+        t._moves = moves
     return t._moves
-
-
-def successor_codes(t: Tree) -> frozenset[CanonicalCode]:
-    """Codes of the classes one degree-rule move away from ``t``: the values
-    of :func:`move_code_map`, cached as a set."""
-    if t._successors is None:
-        t._successors = frozenset(move_code_map(t).values())
-    return t._successors
 
 
 def canonical_positions(t: Tree) -> list[int]:

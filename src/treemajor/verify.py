@@ -48,8 +48,8 @@ from .trees import (
     cycle_graph,
     delta_sequence,
     move_branch,
+    move_code_map,
     moves_via,
-    successor_codes,
 )
 
 __all__ = [
@@ -160,11 +160,12 @@ def _coded(n: int) -> dict[CanonicalCode, Tree]:
     return {}
 
 
-def _successors(n: int, code: CanonicalCode) -> frozenset[CanonicalCode]:
-    """Successor codes of one class, read from its stored tree; the
-    representative is stored, and coded, when no tree of the class is.
-    Nothing is checked here: the theorem pass owns the forward check."""
-    return successor_codes(_coded(n).setdefault(code, _classes(n)[0][code]))
+def _successors(n: int, code: CanonicalCode):
+    """Successor codes of one class, one per move and so with repeats: the
+    values of its stored tree's move map; the representative is stored, and
+    coded, when no tree of the class is.  Nothing is checked here: the
+    theorem pass owns the forward check."""
+    return move_code_map(_coded(n).setdefault(code, _classes(n)[0][code])).values()
 
 
 def _require_reachability_bound(n: int) -> None:
@@ -177,14 +178,16 @@ def _require_reachability_bound(n: int) -> None:
 def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
     """Canonical codes of every class reachable from ``t`` (including its
     own) by any number of degree-rule branch moves: one breadth-first walk
-    over the memo of size ``t.n``."""
-    seen = {canonical_code(t)}
-    queue = deque(seen)
-    while queue:
-        for code in _successors(t.n, queue.popleft()):
-            if code not in seen:
-                seen.add(code)
-                queue.append(code)
+    over the memo of size ``t.n``, a level at a time, so each level's
+    repeated successors are merged by set operations."""
+    new = {canonical_code(t)}
+    seen = set(new)
+    while new:
+        reached = set()
+        for code in new:
+            reached.update(_successors(t.n, code))
+        new = reached - seen
+        seen |= new
     return frozenset(seen)
 
 
@@ -286,10 +289,10 @@ def certify_reachability(
 
 def closure_is_closed(trees: tuple[Tree, ...]) -> bool:
     """True iff every degree-rule move from every member lands back in the
-    set (up to isomorphism).  A tree's successor codes are cached on it like
-    its canonical code: those a walk coded are reused, others coded fresh."""
+    set (up to isomorphism).  A tree's move map is cached on it like its
+    canonical code: those a walk coded are reused, others coded fresh."""
     codes = {canonical_code(t) for t in trees}
-    return all(successor_codes(t) <= codes for t in trees)
+    return all(codes.issuperset(move_code_map(t).values()) for t in trees)
 
 
 def check_certificate(cert: ReachabilityCertificate) -> bool:
@@ -498,8 +501,10 @@ def standard_graph_suite(
 ) -> list[Graph]:
     """Deterministic sample of ``count`` connected non-chain graphs: the
     cycle, the complete graph, then seeded random ones.  Empty for n < 3,
-    where every connected graph is a chain.  A negative ``count`` raises
-    ValueError."""
+    where every connected graph is a chain.  A ``count`` that is not an int
+    (a bool is not) raises TypeError, and a negative one ValueError."""
+    if type(count) is not int:
+        raise TypeError(f"sample count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     if n < 3:

@@ -37,7 +37,7 @@ from treemajor import (
 )
 from treemajor import verify
 from treemajor.cli import main
-from treemajor.trees import move_codes
+from treemajor.trees import move_code_map
 
 _REACHABLE = (ComparisonResult.EQUAL, ComparisonResult.STRICTLY_BELOW)
 
@@ -160,7 +160,7 @@ def test_successor_codes_match_digest():
     count = 0
     for n in range(1, 12):
         for t in enumerate_trees(n):
-            pairs = list(move_codes(t))
+            pairs = list(move_code_map(t).items())
             count += len(pairs)
             digest.update((repr(pairs) + "\n").encode())
     assert count == 7573

@@ -1,6 +1,7 @@
 """Module boundaries inside the package: no module reaches into another
-module's private names or another object's private attributes, and the
-package exports exactly the modules' public names."""
+module's private names or another object's private attributes, every
+definition outside a module's public names is used, and the package exports
+exactly the modules' public names."""
 
 import ast
 import importlib
@@ -67,6 +68,37 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(imported - read)
 
 
+def _reads(node: ast.AST) -> set[str]:
+    return {
+        n.id for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
+    """(module, name) for each module-level function or class outside its
+    module's ``__all__`` that no statement of these modules reads, its own
+    definition aside (a recursive call is not a use)."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in paths}
+    statements = [(s, _reads(s)) for m in modules.values() for s in m.body]
+    found = []
+    for stem, module in modules.items():
+        public = set()
+        for s in module.body:
+            if isinstance(s, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in s.targets
+            ):
+                public = set(ast.literal_eval(s.value))
+        found.extend(
+            (stem, s.name)
+            for s in module.body
+            if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+            and s.name not in public
+            and not any(s.name in read for other, read in statements if other is not s)
+        )
+    return found
+
+
 def test_package_modules_found():
     assert {"trees", "realize", "enumeration", "verify"} <= {p.stem for p in MODULES}
 
@@ -81,6 +113,11 @@ def test_no_private_imports_across_modules(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_every_internal_definition_is_read():
+    # a helper left out of __all__ and read nowhere in the package is dead
+    assert unread_definitions(MODULES) == []
 
 
 def test_package_exports_are_the_module_exports():
@@ -180,3 +217,20 @@ def test_guards_catch_violations(tmp_path):
     ]
     assert foreign_private_attributes(bad) == [("realize", 5, "_adj")]
     assert unused_imports(bad) == ["_adjacency", "_helper", "chain"]
+    helpers = tmp_path / "trees.py"
+    helpers.write_text(
+        "__all__ = ['api']\n"
+        "def api(n):\n"
+        "    return _used(n)\n"
+        "def _used(n):\n"
+        "    return n\n"
+        "def _unread(n):\n"
+        "    return n\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+        "class _Unread:\n"
+        "    pass\n"
+    )
+    assert unread_definitions([bad, helpers]) == [
+        ("realize", "f"), ("trees", "_unread"), ("trees", "_recursive"), ("trees", "_Unread")
+    ]

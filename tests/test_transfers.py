@@ -52,6 +52,12 @@ class TestBasicTransfer:
         with pytest.raises(ValueError):
             basic_transfer(DeltaSequence([2, 2]), 1, 3)
 
+    @pytest.mark.parametrize("i, j", [(True, 3), (1, True), (1.0, 3), (1, "3"), (None, 3)])
+    def test_non_int_rank_rejected(self, i, j):
+        # a bool is not rank 1
+        with pytest.raises(TypeError, match="ranks must be ints"):
+            basic_transfer(DeltaSequence([3, 2, 2, 1, 1, 1]), i, j)
+
     def test_preserves_total_and_resorts(self):
         s = DeltaSequence([3, 2, 2, 2, 1])
         out = basic_transfer(s, 2, 4)

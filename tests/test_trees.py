@@ -30,6 +30,8 @@ from treemajor import (
     legal_moves,
     move_branch,
     parse_tree,
+    plan_transfers,
+    replay_plan_on_tree,
     star,
     tree_from_dict,
     tree_from_prufer,
@@ -41,10 +43,8 @@ from treemajor.trees import (
     canonical_positions,
     freeze_tree,
     move_code_map,
-    move_codes,
     moves_via,
     neighbor_toward,
-    successor_codes,
 )
 from oracles import (
     branch_members_reference,
@@ -253,6 +253,33 @@ class TestBuilders:
     def test_star_delta_general(self):
         for n in (3, 5, 9):
             assert delta_sequence(star(n)).values == (n - 1,) + (1,) * (n - 1)
+
+
+class TestTrustedBuilds:
+    """Every build of a Tree, trusted or validating, sets each cache slot to
+    None and holds ascending neighbour tuples."""
+
+    @staticmethod
+    def _assert_fresh(t: Tree, cached: tuple[str, ...] = ()) -> None:
+        for slot in Tree.__slots__:
+            assert (getattr(t, slot) is None) != (slot in cached), slot
+        assert all(list(ws) == sorted(ws) for ws in t._adj)
+
+    def test_slots(self):
+        assert Tree.__slots__ == ("_code", "_positions", "_moves")
+
+    def test_each_build(self):
+        # labels up to 59 in small sets, which do not iterate in order
+        rng = random.Random(59)
+        t = tree_from_prufer([rng.randrange(60) for _ in range(58)])
+        moved = move_branch(t, *legal_moves(t)[0])
+        plan = plan_transfers(delta_sequence(chain(60)), delta_sequence(t))
+        replayed = replay_plan_on_tree(chain(60), plan).final
+        for fresh in (t, moved, replayed, Tree(t.n, t.sorted_edges())):
+            self._assert_fresh(fresh)
+        for fresh in enumerate_trees(9):
+            # sorted by canonical code, which is cached on each
+            self._assert_fresh(fresh, cached=("_code",))
 
 
 class TestBranches:
@@ -526,36 +553,35 @@ class TestLegalMovesAgainstReference:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_move_codes_make_each_legal_move(self, n):
         for t in enumerate_trees(n):
-            for (mv, code), want_mv in zip(move_codes(t), legal_moves(t), strict=True):
+            pairs = move_code_map(t).items()
+            for (mv, code), want_mv in zip(pairs, legal_moves(t), strict=True):
                 assert mv == want_mv
                 assert code == _canonical_code_reference(move_branch(t, *want_mv))
 
 
 class TestSuccessorCodes:
     def test_coded_once_per_tree(self, monkeypatch):
-        # the move map is coded once, in legal_moves' order, and the
-        # successor codes are its values, cached as a set; a tree made by a
-        # move or by freezing neighbour sets starts uncached, even one equal
-        # to a cached tree
-        coded = []
-        monkeypatch.setattr(
-            trees, "move_codes", lambda t: coded.append(t) or move_codes(t)
-        )
+        # the move map is coded once, one _peel_code call per move, in
+        # legal_moves' order, and cached; a tree made by a move or by
+        # freezing neighbour lists starts uncached, even one equal to a
+        # cached tree
+        calls = []
+        real = trees._peel_code
+        monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
         t = tree_from_prufer([0, 0, 1, 2, 2, 5])
         first = move_code_map(t)
         assert move_code_map(t) is first
-        assert list(first.items()) == list(move_codes(t))
-        assert successor_codes(t) == frozenset(first.values())
-        assert successor_codes(t) is successor_codes(t)
-        assert coded == [t]
+        assert list(first) == legal_moves(t)
+        assert len(calls) == len(first)
         moved = move_branch(t, *legal_moves(t)[0])
-        frozen = freeze_tree([set(t.neighbors(v)) for v in range(t.n)])
+        frozen = freeze_tree([list(t.neighbors(v)) for v in range(t.n)])
+        assert frozen == t
         for fresh in (moved, frozen):
-            coded.clear()
-            assert successor_codes(fresh) == {
-                canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)
-            }
-            assert len(coded) == 1 and coded[0] is fresh
+            want = {mv: canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)}
+            calls.clear()
+            assert move_code_map(fresh) == want
+            assert move_code_map(fresh) is move_code_map(fresh)
+            assert len(calls) == len(want)
 
 
 def _by_positions(t: Tree) -> Tree:
@@ -605,13 +631,14 @@ class TestMovesVia:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_reads_what_move_codes_codes(self, n, monkeypatch):
         # each class's map, read onto a relabelled copy: the copy's own
-        # (move, code) pairs in legal_moves' order, with nothing coded; read
-        # onto the class's own tree, the map's own pairs
+        # (move, code) pairs in legal_moves' order, coded on an equal tree,
+        # with nothing of the copy coded; read onto the class's own tree,
+        # the map's own pairs
         rng = random.Random(n)
         for ref in enumerate_trees(n):
             own = list(move_code_map(ref).items())
             copy = _relabelled(ref, rng)
-            want = list(move_codes(copy))
+            want = list(move_code_map(Tree(n, copy.sorted_edges())).items())
             monkeypatch.setattr(trees, "_peel_code", None)
             assert moves_via(ref, ref) == own
             assert moves_via(copy, ref) == want

@@ -82,7 +82,7 @@ def _find_move_trace_reference(t, target_delta):
 
 def _closure_codes_reference(edges, start):
     """Oracle for reachable_classes: a depth-first search from ``start``
-    over ``edges``, code -> the successor_codes of that class."""
+    over ``edges``, code -> the successor codes of that class."""
     seen, stack = {start}, [start]
     while stack:
         for nxt in edges[stack.pop()]:
@@ -95,7 +95,7 @@ def _closure_codes_reference(edges, start):
 @pytest.fixture
 def patched_successors(monkeypatch):
     """The monkeypatch fixture, for a test that patches
-    verify.successor_codes.  The successor memo and the class store are
+    verify.move_code_map.  The successor memo and the class store are
     cached per n, so both are cleared before and after, and a patched memo
     never outlives the test."""
     verify._classes.cache_clear()
@@ -279,7 +279,7 @@ class TestReachability:
     def test_matches_depth_first_reference(self, n):
         rng = random.Random(n)
         reps = {canonical_code(t): t for t in enumerate_trees(n)}
-        edges = {code: verify.successor_codes(t) for code, t in reps.items()}
+        edges = {code: trees.move_code_map(t).values() for code, t in reps.items()}
         for code, t in reps.items():
             want = _closure_codes_reference(edges, code)
             perm = list(range(n))
@@ -373,7 +373,7 @@ class TestMoveTraces:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_successor_codes_match_move_branch(self, n):
         for t in enumerate_trees(n):
-            assert verify.successor_codes(t) == {
+            assert set(verify.move_code_map(t).values()) == {
                 canonical_code(move_branch(t, *mv)) for mv in legal_moves(t)
             }
 
@@ -391,20 +391,20 @@ class TestCertificates:
 
     def test_checking_a_closure_just_built_codes_nothing(self, monkeypatch):
         # on a cleared memo and store, the closure's members are the memo's
-        # representatives, whose successor codes the walk cached; fresh
-        # copies are coded on their own, and a copy missing one member
-        # reached by a move is rejected
+        # representatives, whose move maps the walk cached; fresh copies are
+        # coded on their own, each its code and its moves, and a copy
+        # missing one member reached by a move is rejected
         verify._classes.cache_clear()
         verify._coded.cache_clear()
         n = 9
         spider = Tree(n, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (0, 8)])
         cert = certify_reachability(spider, delta_sequence(chain(n)))
         assert len(cert.closure) == 41
-        coded = []
-        real = trees.move_codes
-        monkeypatch.setattr(trees, "move_codes", lambda t: coded.append(t) or real(t))
+        calls = []
+        real = trees._peel_code
+        monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
         assert check_certificate(cert)
-        assert coded == []
+        assert calls == []
         rng = random.Random(n)
         copies = []
         for t in cert.closure:
@@ -416,8 +416,10 @@ class TestCertificates:
             closure=tuple(copies),
         )
         assert check_certificate(fresh)
-        assert len(coded) == len(copies)
-        assert all(c is t for c, t in zip(coded, copies))
+        assert len(calls) == sum(1 + len(legal_moves(t)) for t in copies)
+        calls.clear()
+        assert check_certificate(fresh)
+        assert calls == []
         source_code = canonical_code(spider)
         for k, t in enumerate(copies):
             if canonical_code(t) != source_code:
@@ -560,18 +562,20 @@ class TestMajorizationReachability:
         n = 7
         hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
         star_code = canonical_code(star(n))
-        real = verify.successor_codes
+        real = verify.move_code_map
         (source,) = [t for t in enumerate_trees(n) if delta_sequence(t) == hub]
-        assert star_code in real(source)
+        assert star_code in real(source).values()
 
         def cut(t):
-            codes = real(t)
-            return codes - {star_code} if delta_sequence(t) == hub else codes
+            moves = real(t)
+            if delta_sequence(t) != hub:
+                return moves
+            return {mv: code for mv, code in moves.items() if code != star_code}
 
         reps = {canonical_code(t): t for t in enumerate_trees(n)}
-        edges = {code: cut(t) for code, t in reps.items()}
+        edges = {code: cut(t).values() for code, t in reps.items()}
         with patched_successors.context() as patch:
-            patch.setattr(verify, "successor_codes", cut)
+            patch.setattr(verify, "move_code_map", cut)
             ok, certificates = verify_majorization_reachability(n)
         reference = _reachability_failures_reference(n, reps, edges)
         assert ok == (reference == []) and not ok
@@ -584,17 +588,19 @@ class TestMajorizationReachability:
     def test_move_that_does_not_raise_the_sequence_is_a_defect(
         self, patched_successors
     ):
-        # a class listing itself as a successor breaks the forward
-        # direction; the theorem pass checks it, while the memo is a plain
-        # cache, so a closure walk reads the looped class without a check
+        # a class listing itself as a successor, by an extra move, breaks
+        # the forward direction; the theorem pass checks it, while the memo
+        # is a plain cache, so a closure walk reads the looped class without
+        # a check
         n = 6
-        real = verify.successor_codes
+        real = verify.move_code_map
         looped = canonical_code(chain(n))
-        patched_successors.setattr(
-            verify,
-            "successor_codes",
-            lambda t: real(t) | {looped} if canonical_code(t) == looped else real(t),
-        )
+
+        def loop(t):
+            moves = real(t)
+            return {**moves, (-1, -1, -1): looped} if canonical_code(t) == looped else moves
+
+        patched_successors.setattr(verify, "move_code_map", loop)
         d = delta_sequence(chain(n))
         with pytest.raises(
             RuntimeError,
@@ -628,33 +634,43 @@ class TestMajorizationReachability:
         low = DeltaSequence([3, 2, 2, 1, 1, 1])
         (high,) = trees_with_delta(n, DeltaSequence([4, 2, 1, 1, 1, 1]))
         high_code = canonical_code(high)
-        real = verify.successor_codes
-        source = next(t for t in trees_with_delta(n, low) if high_code in real(t))
+        real = verify.move_code_map
+        source = next(t for t in trees_with_delta(n, low) if high_code in real(t).values())
 
         def cut(t):
-            codes = real(t)
-            return codes - {high_code} if t == source else codes
+            moves = real(t)
+            if t != source:
+                return moves
+            return {mv: code for mv, code in moves.items() if code != high_code}
 
         reps = {canonical_code(t): t for t in enumerate_trees(n)}
-        edges = {code: cut(t) for code, t in reps.items()}
-        patched_successors.setattr(verify, "successor_codes", cut)
+        edges = {code: cut(t).values() for code, t in reps.items()}
+        patched_successors.setattr(verify, "move_code_map", cut)
         assert verify_majorization_reachability(n) == (True, [])
         assert _reachability_failures_reference(n, reps, edges) == []
         assert high_code not in verify._successors(n, canonical_code(source))
 
     def test_a_cold_query_codes_only_its_closure(self, patched_successors):
-        coded = []
-        real = verify.successor_codes
+        # coding is counted as _peel_code calls once the memo's enumeration
+        # has coded each class: a closure codes its source and the moves of
+        # each class it stores, and stores only the classes it reaches
+        calls = []
+        real = trees._peel_code
         patched_successors.setattr(
-            verify, "successor_codes", lambda t: coded.append(t) or real(t)
+            trees, "_peel_code", lambda *a: calls.append(1) or real(*a)
         )
         n = REACHABILITY_MAX_NODES
-        cert = certify_reachability(star(n), delta_sequence(chain(n)))
+        source, target = star(n), delta_sequence(chain(n))
+        verify._classes(n)
+        calls.clear()
+        cert = certify_reachability(source, target)
+        assert len(calls) == 1  # the star's own code; it has no moves
         assert cert.closure == (star(n),)
-        assert coded == [star(n)]
-        coded.clear()
-        verify._classes.cache_clear()
-        assert len(reachability_closure(chain(11))) == len(coded) == 235
+        assert list(verify._coded(n)) == [canonical_code(source)]
+        verify._classes(11)
+        calls.clear()
+        assert len(reachability_closure(chain(11))) == len(verify._coded(11)) == 235
+        assert len(calls) == 1 + sum(len(legal_moves(t)) for t in verify._coded(11).values())
 
 
 class TestUnreachablePair:
@@ -871,6 +887,13 @@ class TestGraphSampling:
         with pytest.raises(ValueError):
             standard_graph_suite(6, count=-5)
         assert standard_graph_suite(6, count=0) == []
+
+    @pytest.mark.parametrize("count", [True, False, 2.5, "3", None])
+    def test_non_int_count_rejected(self, count):
+        # checked before the sign and the size: a bool is not a count
+        for n in (2, 5):
+            with pytest.raises(TypeError, match="sample count must be an int"):
+                standard_graph_suite(n, count)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_below_three_nodes(self, n):
