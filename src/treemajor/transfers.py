@@ -207,7 +207,8 @@ def plan_to_dict(plan: TransferPlan) -> dict:
 def plan_from_dict(data: dict) -> TransferPlan:
     """Inverse of :func:`plan_to_dict`.  The ranks define the plan: steps
     that :func:`replay` rejects, or recorded ``before``/``after`` sequences
-    that differ from theirs, raise InvalidPlan."""
+    that differ from theirs, raise InvalidPlan, whichever comes first in
+    one walk of the plan, :func:`replay`'s."""
     source, target, raw_steps = dict_fields(data, "plan", "source", "target", "steps")
     fields = [dict_fields(st, "plan step", "i", "j", "before", "after")
               for st in list_of(raw_steps, "plan steps")]
@@ -221,7 +222,6 @@ def plan_from_dict(data: dict) -> TransferPlan:
         target=DeltaSequence(list_of(target, "plan target")),
         steps=steps,
     )
-    replay(plan)
     recorded = [(DeltaSequence(b), DeltaSequence(a)) for b, a in snapshots]
     for k, (got, rec) in enumerate(zip(pairwise(plan.sequences()), recorded), start=1):
         if got != rec:

@@ -389,20 +389,29 @@ class TestSerialization:
             _load(data)
 
     # each loads as a plan that replay rejects: an empty plan short of its
-    # target, a target of another length, and a receiver rank after the
-    # donor rank whose recorded sequences agree with its ranks
+    # target, a target of another length, a receiver rank after the donor
+    # rank, and a valid step short of the target, the last two with recorded
+    # sequences that agree with their ranks
     @pytest.mark.parametrize(
-        "target, steps",
+        "source, target, steps",
         [
-            ([3, 1, 1, 1], []),
-            ([2, 1, 1], []),
-            ([3, 1, 1, 1], [{"i": 2, "j": 1, "before": [2, 2, 1, 1], "after": [3, 1, 1, 1]}]),
+            ([2, 2, 1, 1], [3, 1, 1, 1], []),
+            ([2, 2, 1, 1], [2, 1, 1], []),
+            ([2, 2, 1, 1], [3, 1, 1, 1],
+             [{"i": 2, "j": 1, "before": [2, 2, 1, 1], "after": [3, 1, 1, 1]}]),
+            ([2, 2, 2, 1, 1], [4, 1, 1, 1, 1],
+             [{"i": 1, "j": 3, "before": [2, 2, 2, 1, 1], "after": [3, 2, 1, 1, 1]}]),
         ],
-        ids=["empty-plan-short-of-target", "target-of-another-length", "receiver-after-donor"],
+        ids=[
+            "empty-plan-short-of-target",
+            "target-of-another-length",
+            "receiver-after-donor",
+            "one-step-short-of-target",
+        ],
     )
-    def test_dict_rejects_a_plan_replay_rejects(self, target, steps):
+    def test_dict_rejects_a_plan_replay_rejects(self, source, target, steps):
         with pytest.raises(InvalidPlan):
-            plan_from_dict({"source": [2, 2, 1, 1], "target": target, "steps": steps})
+            plan_from_dict({"source": source, "target": target, "steps": steps})
 
     @pytest.mark.parametrize("field", ["source", "before"])
     def test_dict_rejects_a_zero_degree_in_any_sequence(self, field):

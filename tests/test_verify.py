@@ -21,6 +21,7 @@ from treemajor import (
     REACHABILITY_MAX_NODES,
     ReachabilityCertificate,
     Tree,
+    basic_transfer,
     canonical_code,
     certify_reachability,
     chain,
@@ -212,6 +213,42 @@ class TestTotalOrder:
     def test_matches_nested_scan_reference(self, n):
         assert check_total_order(n) == _check_total_order_reference(n)
 
+    @pytest.mark.parametrize("n", range(2, CENSUS_MAX_NODES + 1))
+    def test_witness_from_the_lattice_facts(self, n):
+        # the census opens with the star, (n-2, 2, 1, ...) and (n-3, 3, 1, ...),
+        # each above every later sequence; from n=8 on the next two are
+        # (n-3, 2, 2, 1, ...) and (n-4, 4, 1, ...), an incomparable pair
+        census = delta_census(n)
+        assert all(
+            compare(top, s) is ComparisonResult.STRICTLY_ABOVE
+            for k, top in enumerate(census[:3])
+            for s in census[k + 1 :]
+        )
+        report = check_total_order(n)
+        if n < 8:
+            assert report == OrderReport(n=n, is_total=True, witness=None)
+            return
+        a = DeltaSequence([n - 3, 2, 2] + [1] * (n - 3))
+        b = DeltaSequence([n - 4, 4] + [1] * (n - 2))
+        assert census[3:5] == [a, b]
+        assert compare(a, b) is ComparisonResult.INCOMPARABLE
+        assert report == OrderReport(n=n, is_total=False, witness=(a, b))
+
+    def test_scan_does_not_lean_on_the_census_order(self, monkeypatch):
+        # every pair is compared, so the first incomparable pair is the
+        # witness whatever the order, also with a lower sequence before it
+        # or between its members
+        top, low, other = (
+            DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1]),
+            delta_sequence(chain(8)),
+            DeltaSequence([4, 4, 1, 1, 1, 1, 1, 1]),
+        )
+        for census in ([top, low, other], [low, top, other]):
+            monkeypatch.setattr(verify, "delta_census", lambda n, c=census: c)
+            assert check_total_order(8) == OrderReport(
+                n=8, is_total=False, witness=(top, other)
+            )
+
     def test_hub_family_witness_at_nine(self):
         # one concrete incomparable pair at n=9: a degree-5 hub tree versus
         # a double-4 tree
@@ -315,6 +352,23 @@ class TestMoveTraces:
                     assert [got.final.neighbors(v) for v in range(n)] == [
                         want.final.neighbors(v) for v in range(n)
                     ]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_one_transfer_is_one_move(self, n):
+        # a target one tree-variant transfer away, ties included, is one move
+        # away, and the move's donor and target degrees are the transfer's
+        # donor and receiver values
+        for t in enumerate_trees(n):
+            s = delta_sequence(t).values
+            for j in range(2, n + 1):
+                if s[j - 1] < 2:
+                    break
+                for i in range(1, j):
+                    target = basic_transfer(delta_sequence(t), i, j)
+                    trace = find_move_trace(t, target)
+                    assert trace is not None and len(trace.moves) == 1, (t, i, j)
+                    donor, _, receiver = trace.moves[0]
+                    assert (t.degree(donor), t.degree(receiver)) == (s[j - 1], s[i - 1])
 
     def test_order_decides_without_a_search(self, monkeypatch):
         # every move strictly raises the sequence, so a target that does not
@@ -894,6 +948,13 @@ class TestGraphSampling:
         for n in (2, 5):
             with pytest.raises(TypeError, match="sample count must be an int"):
                 standard_graph_suite(n, count)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "x", None])
+    def test_non_int_seed_rejected(self, seed):
+        # None would draw OS entropy, and True would alias seed 1
+        for n in (2, 5):
+            with pytest.raises(TypeError, match="seed must be an int"):
+                standard_graph_suite(n, seed=seed)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_below_three_nodes(self, n):
