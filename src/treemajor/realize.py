@@ -67,24 +67,28 @@ def realize_from_chain(target: DeltaSequence) -> MoveTrace:
 def realize_direct(target: DeltaSequence) -> Tree:
     """Caterpillar realization of ``target``.
 
-    All values >= 2 form a spine path in non-increasing order; leaves are
-    attached to spine nodes until each reaches its prescribed degree.
-    Raises NotTreeFeasible for infeasible targets.
+    All values >= 2 form a spine path 0..k-1 in non-increasing order;
+    leaves, labelled k, k+1, ... in spine order, are attached to spine
+    nodes until each reaches its prescribed degree.  The neighbour lists
+    ascend as built (spine node i holds i-1, then i+1, then its leaves), so
+    the caterpillar is frozen, not re-validated.  Raises NotTreeFeasible
+    for infeasible targets.
     """
     seq = validate_tree_sequence(target.values)
     spine = [v for v in seq.values if v >= 2]
     k = len(spine)
     if k == 0:
         # no inner values: the only feasible case is the 2-node tree (1,1)
-        return Tree(2, [(0, 1)])
-    edges = [(i, i + 1) for i in range(k - 1)]
-    next_leaf = k
+        return freeze_tree([[1], [0]])
+    nbrs = [[i - 1, i + 1] for i in range(k)]
+    # the spine's ends lose their outside neighbours -1 and k (a one-node
+    # spine loses both)
+    del nbrs[0][0], nbrs[-1][-1]
     for i, deg in enumerate(spine):
-        inner = 0 if k == 1 else (1 if i in (0, k - 1) else 2)
-        for _ in range(deg - inner):
-            edges.append((i, next_leaf))
-            next_leaf += 1
-    return Tree(seq.n, edges)
+        leaves = range(len(nbrs), len(nbrs) + deg - len(nbrs[i]))
+        nbrs[i] += leaves
+        nbrs += [(i,)] * len(leaves)
+    return freeze_tree(nbrs)
 
 
 def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:

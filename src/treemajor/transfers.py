@@ -74,7 +74,10 @@ def transfer_in_place(vals: list[int], i: int, j: int) -> tuple[int, int]:
     """:func:`basic_transfer` on a descending list, kept descending in place:
     the unit lands on the first slot holding the receiver's value and leaves
     the last slot holding the donor's value, where re-sorting puts them.
-    Returns the (receiver, donor) values from before the transfer."""
+    The first lies at or before rank i and the last at or after rank j
+    (the list still descends after the first step), so each search covers
+    only those slots.  Returns the (receiver, donor) values from before the
+    transfer."""
     n = len(vals)
     if not (1 <= i <= n) or not (1 <= j <= n):
         raise ValueError(f"ranks must lie in 1..{n}, got i={i}, j={j}")
@@ -85,8 +88,8 @@ def transfer_in_place(vals: list[int], i: int, j: int) -> tuple[int, int]:
         raise DonorWouldVanish(
             f"rank {j} holds {donor}; a transfer would drop it below 1"
         )
-    vals[bisect_left(vals, -receiver, key=neg)] += 1
-    vals[bisect_right(vals, -donor, key=neg) - 1] -= 1
+    vals[bisect_left(vals, -receiver, 0, i, key=neg)] += 1
+    vals[bisect_right(vals, -donor, j - 1, n, key=neg) - 1] -= 1
     return receiver, donor
 
 

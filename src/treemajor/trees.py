@@ -170,18 +170,23 @@ class Branch:
     members: frozenset[int]
 
 
+def _require_node_count(n: int, shape: str) -> None:
+    if type(n) is not int:
+        raise TypeError(f"node count must be an int, got {n!r}")
+    if n < 2:
+        raise ValueError(f"{shape} needs n >= 2, got {n}")
+
+
 def chain(n: int) -> Tree:
     """The path tree 0-1-...-(n-1)."""
-    if n < 2:
-        raise ValueError(f"chain needs n >= 2, got {n}")
-    return Tree(n, [(k, k + 1) for k in range(n - 1)])
+    _require_node_count(n, "chain")
+    return freeze_tree([(1,), *[(k - 1, k + 1) for k in range(1, n - 1)], (n - 2,)])
 
 
 def star(n: int) -> Tree:
     """The star with center 0 and leaves 1..n-1."""
-    if n < 2:
-        raise ValueError(f"star needs n >= 2, got {n}")
-    return Tree(n, [(0, k) for k in range(1, n)])
+    _require_node_count(n, "star")
+    return freeze_tree([range(1, n), *[(0,)] * (n - 1)])
 
 
 def delta_sequence(g: Graph) -> DeltaSequence:
@@ -190,7 +195,7 @@ def delta_sequence(g: Graph) -> DeltaSequence:
     (A single-node tree has degree 0, which a positive degree sequence
     cannot hold.)
     """
-    return DeltaSequence(g.degree(v) for v in range(g.n))
+    return DeltaSequence(map(len, g._adj))
 
 
 def _branch_sides(
@@ -233,8 +238,8 @@ def freeze_tree(nbrs: Sequence[Sequence[int]]) -> Tree:
     """The tree with the ascending neighbour list ``nbrs[v]`` of each node
     ``v``, copied as given: neither sorted nor re-validated, so only for
     sorted neighbours that form a tree by construction, as those of a valid
-    tree changed by branch moves, of a decoded Prufer sequence or of a
-    level sequence."""
+    tree changed by branch moves, of a decoded Prufer sequence, of a level
+    sequence, of a path, of a star or of a caterpillar."""
     t = Tree.__new__(Tree)
     t.n = len(nbrs)
     t._adj = tuple(map(tuple, nbrs))

@@ -470,11 +470,15 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
         raise ValueError(f"no connected non-chain graph exists for n={n}")
     while True:
         t = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
-        non_edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if v not in t.neighbors(u)
-        ]
-        k = rng.randint(0, min(_MAX_EXTRA_EDGES, len(non_edges)))
-        extra = rng.sample(non_edges, k) if k else []  # no draw when k is 0
+        # a tree on n nodes leaves (n-1)(n-2)/2 node pairs unjoined; they
+        # are listed only when some are drawn, and nothing is drawn for k = 0
+        k = rng.randint(0, min(_MAX_EXTRA_EDGES, (n - 1) * (n - 2) // 2))
+        extra = []
+        if k:
+            non_edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if v not in t.neighbors(u)
+            ]
+            extra = rng.sample(non_edges, k)
         g = Graph(n, t.sorted_edges() + extra)
         if not _is_path_graph(g):
             return g

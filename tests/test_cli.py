@@ -363,3 +363,31 @@ class TestHasse:
             DeltaSequence([3, 1, 1, 1]),
             DeltaSequence([2, 2, 1, 1]),
         ]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    original = cli.build_parser
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        outs = [
+            run(capsys, *argv)
+            for argv in (
+                ["realize", "2,2,1,1", "--dot"],
+                ["realize", "2,2,1,1"],
+                ["realize", "2,2,1,1", "--dot"],
+            )
+        ]
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    # one call's options leave nothing behind for the next
+    assert outs[0] == outs[2] != outs[1]
+    assert outs[0][1].startswith("graph") and not outs[1][1].startswith("graph")
+    assert original() is not original()

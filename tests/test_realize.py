@@ -16,6 +16,7 @@ from treemajor import (
     ParseError,
     TransferPlan,
     TransferStep,
+    Tree,
     apply_moves,
     canonical_code,
     chain,
@@ -78,6 +79,24 @@ def _prufer_tree(n, hubs, rng):
             for _ in range(n - 2)
         ]
     )
+
+
+def _caterpillar_reference(target):
+    """The caterpillar realize_direct builds, through the validating
+    constructor from its edge list: spine path 0..k-1 over the values >= 2,
+    then leaves k, k+1, ... hung on the spine nodes in order."""
+    spine = [v for v in target.values if v >= 2]
+    k = len(spine)
+    if k == 0:
+        return Tree(2, [(0, 1)])
+    edges = [(i, i + 1) for i in range(k - 1)]
+    next_leaf = k
+    for i, deg in enumerate(spine):
+        inner = 0 if k == 1 else (1 if i in (0, k - 1) else 2)
+        for _ in range(deg - inner):
+            edges.append((i, next_leaf))
+            next_leaf += 1
+    return Tree(target.n, edges)
 
 
 def _assert_matches_reference(t, target):
@@ -151,6 +170,32 @@ class TestRealizeDirect:
     def test_infeasible_rejected(self):
         with pytest.raises(NotTreeFeasible):
             realize_direct(DeltaSequence([2, 2, 2]))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_census_matches_the_validating_constructor(self, n):
+        for s in delta_census(n):
+            assert realize_direct(s) == _caterpillar_reference(s), s
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        hub_count=st.integers(0, 5),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_prufer_sequences_match_the_validating_constructor(self, n, hub_count, rng):
+        s = delta_sequence(_prufer_tree(n, rng.sample(range(n), min(n, hub_count)), rng))
+        assert realize_direct(s) == _caterpillar_reference(s)
+
+
+def test_realizations_skip_the_validating_constructor(monkeypatch):
+    target = DeltaSequence([4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1])
+    want = (chain(12), star(12), realize_direct(target), realize_from_chain(target))
+
+    def refuse(self, n, edges):
+        raise AssertionError("validating constructor called")
+
+    monkeypatch.setattr(Tree, "__init__", refuse)
+    assert (chain(12), star(12), realize_direct(target), realize_from_chain(target)) == want
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -385,7 +430,9 @@ class TestReplayChecks:
 
 
 class TestRealizeLargeN:
-    """Sizes the per-move rebuild could not afford."""
+    """At thousands of nodes, realizing from the chain reaches the target
+    in exactly the plan's number of moves, and the star agrees with the
+    caterpillar up to isomorphism."""
 
     def _check(self, target):
         trace = realize_from_chain(target)

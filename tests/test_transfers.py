@@ -27,7 +27,7 @@ from treemajor import (
     plan_transfers,
     replay,
 )
-from treemajor.transfers import step_values
+from treemajor.transfers import step_values, transfer_in_place
 
 
 class TestBasicTransfer:
@@ -271,6 +271,21 @@ class TestSequences:
         vals[i - 1] += 1
         vals[j - 1] -= 1
         assert basic_transfer(s, i, j).values == tuple(sorted(vals, reverse=True))
+
+    @pytest.mark.parametrize("receiver_first", [True, False])
+    @given(values=st.lists(st.integers(1, 3), max_size=12), data=st.data())
+    def test_transfer_in_place_matches_resort(self, receiver_first, values, data):
+        # values from 1..3 give long runs; the receiver's run may start
+        # before rank i and the donor's end after rank j
+        vals = sorted(values + [2, 2, 1], reverse=True)
+        n = len(vals)
+        j = data.draw(st.sampled_from([k for k in range(2, n + 1) if vals[k - 1] >= 2]))
+        i = data.draw(st.integers(1, j - 1) if receiver_first else st.integers(j + 1, n))
+        want = list(vals)
+        want[i - 1] += 1
+        want[j - 1] -= 1
+        assert transfer_in_place(vals, i, j) == (want[i - 1] - 1, want[j - 1] + 1)
+        assert vals == sorted(want, reverse=True)
 
     def test_chain_to_star_at_ten_thousand(self):
         n = 10_000

@@ -31,6 +31,7 @@ from treemajor import (
     move_branch,
     parse_tree,
     plan_transfers,
+    realize_direct,
     replay_plan_on_tree,
     star,
     tree_from_dict,
@@ -254,6 +255,24 @@ class TestBuilders:
         for n in (3, 5, 9):
             assert delta_sequence(star(n)).values == (n - 1,) + (1,) * (n - 1)
 
+    def test_builders_match_the_validating_constructor(self):
+        for n in range(2, 65):
+            assert chain(n) == Tree(n, [(k, k + 1) for k in range(n - 1)]), n
+            assert star(n) == Tree(n, [(0, k) for k in range(1, n)]), n
+
+    @pytest.mark.parametrize("build", [chain, star])
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_non_int_node_count(self, build, n):
+        # a bool is not a node count
+        with pytest.raises(TypeError, match="node count must be an int"):
+            build(n)
+
+    @pytest.mark.parametrize("build", [chain, star])
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_too_few_nodes(self, build, n):
+        with pytest.raises(ValueError, match=f"needs n >= 2, got {n}$"):
+            build(n)
+
 
 class TestTrustedBuilds:
     """Every build of a Tree, trusted or validating, sets each cache slot to
@@ -275,7 +294,8 @@ class TestTrustedBuilds:
         moved = move_branch(t, *legal_moves(t)[0])
         plan = plan_transfers(delta_sequence(chain(60)), delta_sequence(t))
         replayed = replay_plan_on_tree(chain(60), plan).final
-        for fresh in (t, moved, replayed, Tree(t.n, t.sorted_edges())):
+        built = (chain(60), star(60), realize_direct(delta_sequence(t)))
+        for fresh in (t, moved, replayed, Tree(t.n, t.sorted_edges()), *built):
             self._assert_fresh(fresh)
         for fresh in enumerate_trees(9):
             # sorted by canonical code, which is cached on each
