@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .errors import BoundExceeded, LengthMismatch, NotTreeFeasible
 from .sequences import DeltaSequence
-from .trees import Tree, canonical_code, delta_sequence, freeze_tree
+from .trees import Tree, canonical_code, delta_sequence, freeze
 
 __all__ = [
     "MAX_NODES",
@@ -102,7 +102,7 @@ def _tree_from_levels(levels: Sequence[int]) -> Tree:
         nbrs[u].append(v)
         nbrs[v].append(u)
         last_at_level[lvl] = v
-    return freeze_tree(nbrs)
+    return freeze(nbrs)
 
 
 def enumerate_trees(n: int) -> list[Tree]:
@@ -155,7 +155,7 @@ def tree_from_prufer(seq: Sequence[int]) -> Tree:
     for u, v in _prufer_edges(seq, n):
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return freeze_tree([sorted(ws) for ws in nbrs])
+    return freeze([sorted(ws) for ws in nbrs])
 
 
 def _partitions_desc(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:

@@ -12,13 +12,13 @@ from heapq import heappop, heappush
 
 from .errors import dict_fields, list_of
 from .sequences import DeltaSequence, validate_tree_sequence
-from .transfers import TransferPlan, plan_transfers, step_values
+from .transfers import TransferPlan, plan_transfers
 from .trees import (
     Tree,
     chain,
     delta_sequence,
     format_tree,
-    freeze_tree,
+    freeze,
     move_edge,
     neighbor_toward,
     tree_from_dict,
@@ -79,7 +79,7 @@ def realize_direct(target: DeltaSequence) -> Tree:
     k = len(spine)
     if k == 0:
         # no inner values: the only feasible case is the 2-node tree (1,1)
-        return freeze_tree([[1], [0]])
+        return freeze([[1], [0]])
     nbrs = [[i - 1, i + 1] for i in range(k)]
     # the spine's ends lose their outside neighbours -1 and k (a one-node
     # spine loses both)
@@ -88,7 +88,7 @@ def realize_direct(target: DeltaSequence) -> Tree:
         leaves = range(len(nbrs), len(nbrs) + deg - len(nbrs[i]))
         nbrs[i] += leaves
         nbrs += [(i,)] * len(leaves)
-    return freeze_tree(nbrs)
+    return freeze(nbrs)
 
 
 def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
@@ -101,9 +101,11 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     receiver.  Every move satisfies the degree rule, so the degree sequence
     after each move is the plan's next sequence.
 
-    The step values come from :func:`step_values`, which checks every step,
-    so a plan that :func:`replay` rejects raises InvalidPlan here too; a
-    tree whose degrees are not the plan's source raises ValueError.  The
+    The step values come from :meth:`TransferPlan.values_per_step`: a plan
+    from :func:`plan_transfers` gives the values its planning walk recorded,
+    so the plan is walked once; any other plan is checked step by step, and
+    one that :func:`replay` rejects raises InvalidPlan here too.  A tree
+    whose degrees are not the plan's source raises ValueError.  The
     moves run on a working adjacency (neighbour sets, degree -> heap of
     labels) with :func:`move_branch`'s search and edge swap.  The search
     starts at the donor, grows all its branches level by level and stops at
@@ -121,7 +123,7 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
     for v, ws in enumerate(nbrs):
         by_degree.setdefault(len(ws), []).append(v)
     moves: list[tuple[int, int, int]] = []
-    for receiver_value, donor_value in step_values(plan):
+    for receiver_value, donor_value in plan.values_per_step():
         # the ranks differ, so two nodes hold the value when both ranks share it
         receiver = heappop(by_degree[receiver_value])
         donor = heappop(by_degree[donor_value])
@@ -133,7 +135,7 @@ def replay_plan_on_tree(t: Tree, plan: TransferPlan) -> MoveTrace:
         heappush(by_degree.setdefault(receiver_value + 1, []), receiver)
         heappush(by_degree.setdefault(donor_value - 1, []), donor)
         moves.append((donor, gateway, receiver))
-    final = freeze_tree([sorted(ws) for ws in nbrs])
+    final = freeze([sorted(ws) for ws in nbrs])
     return MoveTrace(initial=t, moves=tuple(moves), final=final)
 
 

@@ -10,10 +10,10 @@ chain from any sequence to any sequence that dominates it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 from operator import neg
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DonorWouldVanish,
@@ -49,14 +49,32 @@ class TransferStep:
 
 @dataclass(frozen=True)
 class TransferPlan:
-    """Ordered basic transfers carrying ``source`` up to ``target``."""
+    """Ordered basic transfers carrying ``source`` up to ``target``.
+
+    A plan from :func:`plan_transfers` also keeps the (receiver value, donor
+    value) of each step that its planning walk applied.  Only that walk sets
+    the record: it is no constructor argument, takes no part in ``==``,
+    ``hash`` or ``repr``, and a plan built any other way (the constructor,
+    ``dataclasses.replace``, :func:`plan_from_dict`) has none.
+    """
 
     source: DeltaSequence
     target: DeltaSequence
     steps: tuple[TransferStep, ...]
+    # receiver then donor value of each step, flat: no tuple kept per step
+    _values: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def values_per_step(self) -> Iterable[tuple[int, int]]:
+        """Each step's (receiver value, donor value) from before it is
+        applied: the record :func:`plan_transfers` kept, or, for a plan
+        without one, :func:`step_values`' checked walk."""
+        if self._values is None:
+            return step_values(self)
+        flat = iter(self._values)
+        return zip(flat, flat)
 
     def sequences(self) -> Iterator[DeltaSequence]:
         """Yield ``source``, then the sequence after each step.  The walk is
@@ -115,7 +133,11 @@ def plan_transfers(source: DeltaSequence, target: DeltaSequence) -> TransferPlan
     exceeds the target, re-sorting after each step.  Under the dominance
     precondition the receiving rank always precedes the donating rank, so
     every step is a valid tree-variant transfer.  Neither rank ever moves
-    back, so both are found by scanning forward.
+    back, so both are found by scanning forward, and steps with equal ranks
+    are consecutive and share one :class:`TransferStep`.  The plan keeps
+    the (receiver value, donor value) that each step of this walk had, so
+    :func:`~treemajor.realize.replay_plan_on_tree` moves branches without
+    walking the plan again; :func:`replay` still checks every step.
 
     Equal sequences yield an empty plan.  Raises NotMajorized when the
     target does not dominate the source (including unequal totals, which no
@@ -131,26 +153,36 @@ def plan_transfers(source: DeltaSequence, target: DeltaSequence) -> TransferPlan
             "transfers preserve the total"
         )
     rel = compare(source, target)
-    if rel is ComparisonResult.EQUAL:
-        return TransferPlan(source=source, target=target, steps=())
-    if rel is not ComparisonResult.STRICTLY_BELOW:
+    if rel is not ComparisonResult.STRICTLY_BELOW and rel is not ComparisonResult.EQUAL:
         raise NotMajorized(f"{source} is not majorized by {target} ({rel})")
 
     vals, goal = list(source.values), target.values
     steps: list[TransferStep] = []
+    values: list[int] = []
+    step = None
     j = 0
-    for i, want in enumerate(goal):
-        while vals[i] < want:
+    for i, want in enumerate(goal, start=1):
+        while vals[i - 1] < want:
             while vals[j] <= goal[j]:
                 j += 1
-            steps.append(TransferStep(receiver_rank=i + 1, donor_rank=j + 1))
-            transfer_in_place(vals, i + 1, j + 1)
-    return TransferPlan(source=source, target=target, steps=tuple(steps))
+            # neither rank moves back, so equal steps are consecutive
+            if step is None or step.donor_rank != j + 1 or step.receiver_rank != i:
+                step = TransferStep(i, j + 1)
+            steps.append(step)
+            values += transfer_in_place(vals, i, j + 1)
+    plan = TransferPlan(source, target, tuple(steps))
+    # the record is no constructor argument; it is set the way a frozen
+    # dataclass's own __init__ sets a field
+    object.__setattr__(plan, "_values", values)
+    return plan
 
 
 def step_values(plan: TransferPlan) -> Iterator[tuple[int, int]]:
     """Replay ``plan`` from its source, checking every step, and yield each
-    step's (receiver value, donor value) from before it is applied.
+    step's (receiver value, donor value) from before it is applied.  This
+    walk ignores any record the plan keeps: :func:`replay`,
+    :meth:`TransferPlan.sequences`, :func:`format_plan`, :func:`plan_to_dict`
+    and :func:`plan_from_dict` all check through it.
 
     A step breaking the tree-variant preconditions (receiver rank before
     donor rank, both ranks in range, donor value at least 2), or an end

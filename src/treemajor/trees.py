@@ -180,13 +180,13 @@ def _require_node_count(n: int, shape: str) -> None:
 def chain(n: int) -> Tree:
     """The path tree 0-1-...-(n-1)."""
     _require_node_count(n, "chain")
-    return freeze_tree([(1,), *[(k - 1, k + 1) for k in range(1, n - 1)], (n - 2,)])
+    return freeze([(1,), *[(k - 1, k + 1) for k in range(1, n - 1)], (n - 2,)])
 
 
 def star(n: int) -> Tree:
     """The star with center 0 and leaves 1..n-1."""
     _require_node_count(n, "star")
-    return freeze_tree([range(1, n), *[(0,)] * (n - 1)])
+    return freeze([range(1, n), *[(0,)] * (n - 1)])
 
 
 def delta_sequence(g: Graph) -> DeltaSequence:
@@ -234,19 +234,19 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
     return [Branch(root=m, gateway=c, members=frozenset(vs)) for c, vs in members.items()]
 
 
-def freeze_tree(nbrs: Sequence[Sequence[int]]) -> Tree:
-    """The tree with the ascending neighbour list ``nbrs[v]`` of each node
-    ``v``, copied as given: neither sorted nor re-validated, so only for
-    sorted neighbours that form a tree by construction, as those of a valid
-    tree changed by branch moves, of a decoded Prufer sequence, of a level
-    sequence, of a path, of a star or of a caterpillar."""
-    t = Tree.__new__(Tree)
-    t.n = len(nbrs)
-    t._adj = tuple(map(tuple, nbrs))
-    t._code = None
-    t._positions = None
-    t._moves = None
-    return t
+def freeze(nbrs: Sequence[Sequence[int]], kind: type[Graph] = Tree) -> Graph:
+    """The ``kind`` (a Tree, or a Graph when asked) with the ascending
+    neighbour list ``nbrs[v]`` of each node ``v``, copied as given: neither
+    sorted nor re-validated, so only for sorted neighbours that form one by
+    construction, as those of a valid tree changed by branch moves, of a
+    decoded Prufer sequence, of a level sequence, of a path, of a star, of a
+    caterpillar, or of a tree with extra edges between distinct nodes."""
+    g = kind.__new__(kind)
+    g.n = len(nbrs)
+    g._adj = tuple(map(tuple, nbrs))
+    if kind is Tree:
+        g._code = g._positions = g._moves = None
+    return g
 
 
 def neighbor_toward(nbrs: Sequence[set[int]], node: int, target: int) -> int:
@@ -286,7 +286,7 @@ def _move_branches(t: Tree, moves, enforce_degree_rule: bool) -> Tree:
                 f"target degree {len(nbrs[target])} < donor degree {len(nbrs[donor])}"
             )
         move_edge(nbrs, donor, gateway, target)
-    return freeze_tree([sorted(ws) for ws in nbrs])
+    return freeze([sorted(ws) for ws in nbrs])
 
 
 def move_branch(

@@ -47,6 +47,7 @@ from .trees import (
     complete_graph,
     cycle_graph,
     delta_sequence,
+    freeze,
     move_branch,
     move_code_map,
     moves_via,
@@ -396,9 +397,12 @@ def verify_chain_minimality(n: int, sample_graphs: list[Graph]) -> bool:
     for g in sample_graphs:
         if g.n != n:
             raise ValueError(f"sample graph has {g.n} nodes, expected {n}")
-        if _is_path_graph(g):
+        delta = delta_sequence(g)
+        # a connected graph with the path's degrees has n-1 edges, so it is a
+        # tree, and a tree with no degree above 2 is a path
+        if delta == chain_delta:
             raise ValueError("sample graphs must not be chains")
-        if compare(chain_delta, delta_sequence(g)) is not ComparisonResult.STRICTLY_BELOW:
+        if compare(chain_delta, delta) is not ComparisonResult.STRICTLY_BELOW:
             return False
     return True
 
@@ -457,11 +461,6 @@ def hasse_diagram(n: int) -> str:
     return "\n".join(lines + ["}"])
 
 
-def _is_path_graph(g: Graph) -> bool:
-    degrees = [g.degree(v) for v in range(g.n)]
-    return sum(degrees) == 2 * (g.n - 1) and max(degrees) <= 2
-
-
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """A uniform random labeled tree (via a random Prufer sequence) plus up
     to ``_MAX_EXTRA_EDGES`` random extra edges; resampled until it is not a
@@ -470,18 +469,21 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
         raise ValueError(f"no connected non-chain graph exists for n={n}")
     while True:
         t = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
+        nbrs = [list(t.neighbors(v)) for v in range(n)]
         # a tree on n nodes leaves (n-1)(n-2)/2 node pairs unjoined; they
         # are listed only when some are drawn, and nothing is drawn for k = 0
         k = rng.randint(0, min(_MAX_EXTRA_EDGES, (n - 1) * (n - 2) // 2))
-        extra = []
         if k:
             non_edges = [
                 (u, v) for u in range(n) for v in range(u + 1, n) if v not in t.neighbors(u)
             ]
-            extra = rng.sample(non_edges, k)
-        g = Graph(n, t.sorted_edges() + extra)
-        if not _is_path_graph(g):
-            return g
+            for u, v in rng.sample(non_edges, k):
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        # the tree plus k distinct non-edges is connected and simple, and it
+        # is a path only when it is the tree and no degree passes 2
+        if k or max(map(len, nbrs)) > 2:
+            return freeze([sorted(ws) for ws in nbrs], Graph)
 
 
 def standard_graph_suite(

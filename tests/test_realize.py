@@ -1,6 +1,7 @@
 """Realization of feasible sequences: plan replay on trees and the direct
 caterpillar construction."""
 
+import dataclasses
 import random
 from itertools import pairwise
 
@@ -38,6 +39,8 @@ from treemajor import (
     tree_from_prufer,
     trees_with_delta,
 )
+from treemajor import transfers
+from treemajor.transfers import step_values
 from oracles import branch_members_reference, move_branch_reference
 
 
@@ -97,6 +100,16 @@ def _caterpillar_reference(target):
             edges.append((i, next_leaf))
             next_leaf += 1
     return Tree(target.n, edges)
+
+
+def _assert_record_replays_as_rebuilt(t, plan, trace):
+    """``plan``, from plan_transfers, carries the checked walk's values, and
+    the same plan built by hand, so with no record, compares, hashes and
+    prints as it does and replays to the same ``trace``."""
+    rebuilt = TransferPlan(plan.source, plan.target, plan.steps)
+    assert (rebuilt, hash(rebuilt), repr(rebuilt)) == (plan, hash(plan), repr(plan))
+    assert list(plan.values_per_step()) == list(step_values(rebuilt))
+    assert replay_plan_on_tree(t, rebuilt) == trace
 
 
 def _assert_matches_reference(t, target):
@@ -243,7 +256,9 @@ class TestReplayPlanOnTree:
 
     def test_every_class_to_every_strictly_dominating_target(self):
         # the replayed plan ends at the target and the checked move loop
-        # accepts its moves, with no class table or reference involved
+        # accepts its moves, with no class table or reference involved; the
+        # planner's record moves the same branches as the checked walk of
+        # the plan rebuilt by hand
         pairs = 0
         for n in range(2, 12):
             census = delta_census(n)
@@ -252,11 +267,44 @@ class TestReplayPlanOnTree:
                 for target in census:
                     if compare(source, target) is not ComparisonResult.STRICTLY_BELOW:
                         continue
-                    trace = replay_plan_on_tree(t, plan_transfers(source, target))
+                    plan = plan_transfers(source, target)
+                    trace = replay_plan_on_tree(t, plan)
                     assert delta_sequence(trace.final) == target
                     assert apply_moves(t, trace.moves) == trace.final
+                    _assert_record_replays_as_rebuilt(t, plan, trace)
                     pairs += 1
         assert pairs == 6586
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        hub_count=st.integers(0, 5),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_record_on_uniform_and_hub_heavy_prufer_targets(self, n, hub_count, rng):
+        t = _prufer_tree(n, rng.sample(range(n), min(n, hub_count)), rng)
+        for start, target in ((chain(n), delta_sequence(t)), (t, delta_sequence(star(n)))):
+            plan = plan_transfers(delta_sequence(start), target)
+            _assert_record_replays_as_rebuilt(start, plan, replay_plan_on_tree(start, plan))
+
+    def test_realize_walks_its_plan_once(self, monkeypatch):
+        calls = []
+        real = transfers.transfer_in_place
+        monkeypatch.setattr(transfers, "transfer_in_place", lambda *a: calls.append(a) or real(*a))
+        trace = realize_from_chain(delta_sequence(star(50)))
+        assert len(trace.moves) == len(calls) == 47
+
+    @pytest.mark.parametrize(
+        "steps",
+        [lambda s: s[:-1], lambda s: s + s[-1:], lambda s: (TransferStep(2, 1),) + s[1:]],
+        ids=["dropped", "repeated", "reversed-ranks"],
+    )
+    def test_replaced_steps_are_checked(self, steps):
+        t = _prufer_tree(40, [3, 17], random.Random(40))
+        plan = plan_transfers(delta_sequence(chain(40)), delta_sequence(t))
+        bad = dataclasses.replace(plan, steps=steps(plan.steps))
+        with pytest.raises(InvalidPlan):
+            replay_plan_on_tree(chain(40), bad)
 
     def test_works_from_any_source_class(self):
         source = DeltaSequence([3, 2, 2, 2, 1, 1, 1])
@@ -431,14 +479,16 @@ class TestReplayChecks:
 
 class TestRealizeLargeN:
     """At thousands of nodes, realizing from the chain reaches the target
-    in exactly the plan's number of moves, and the star agrees with the
-    caterpillar up to isomorphism."""
+    in exactly the plan's number of moves, and the checked move loop,
+    replaying the trace on its own, ends at the trace's final tree.  For
+    the star, the result is isomorphic to the caterpillar."""
 
     def _check(self, target):
         trace = realize_from_chain(target)
         plan = plan_transfers(delta_sequence(chain(target.n)), target)
         assert delta_sequence(trace.final) == target
         assert len(trace.moves) == len(plan.steps)
+        assert apply_moves(trace.initial, trace.moves) == trace.final
         return trace
 
     def test_star_3000(self):

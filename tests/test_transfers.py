@@ -1,5 +1,6 @@
 """Basic transfers, plan construction, replay, serialization."""
 
+import dataclasses
 import json
 from itertools import pairwise
 
@@ -27,7 +28,17 @@ from treemajor import (
     plan_transfers,
     replay,
 )
+from treemajor import transfers
 from treemajor.transfers import step_values, transfer_in_place
+
+
+@pytest.fixture
+def applied(monkeypatch):
+    """One entry per transfer_in_place call the library makes."""
+    calls = []
+    real = transfers.transfer_in_place
+    monkeypatch.setattr(transfers, "transfer_in_place", lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 class TestBasicTransfer:
@@ -145,6 +156,54 @@ class TestPlanTransfers:
                     nxt = majorization_gap(after, y)
                     assert nxt < gap
                     gap = nxt
+
+
+class TestPlannedRecord:
+    """plan_transfers keeps the values its walk applied, and only the
+    planner sets the record; every other plan is walked and checked.  That
+    the record equals the checked walk is tested on every class in
+    test_realize."""
+
+    STAR = DeltaSequence([9] + [1] * 9)
+    CHAIN = DeltaSequence([2] * 8 + [1, 1])
+
+    def test_equal_ranks_share_one_step(self):
+        plan = plan_transfers(self.CHAIN, self.STAR)
+        assert len({id(st) for st in plan.steps}) == len(set(plan.steps)) == 1
+
+    def test_only_a_planned_plan_is_read_from_its_record(self, applied):
+        plan = plan_transfers(self.CHAIN, self.STAR)
+        assert len(applied) == len(plan) == 7
+        want = list(plan.values_per_step())
+        assert len(applied) == 7
+        others = [
+            TransferPlan(plan.source, plan.target, plan.steps),
+            dataclasses.replace(plan),
+            plan_from_dict(plan_to_dict(plan)),
+        ]
+        for other in others:
+            del applied[:]
+            assert list(other.values_per_step()) == want
+            assert len(applied) == len(plan)
+        bad = dataclasses.replace(plan, steps=plan.steps[:-1])
+        with pytest.raises(InvalidPlan, match="not the target"):
+            list(bad.values_per_step())
+
+    def test_record_cannot_be_passed_in(self):
+        plan = plan_transfers(self.CHAIN, self.STAR)
+        record = list(plan.values_per_step())
+        with pytest.raises(TypeError):
+            TransferPlan(plan.source, plan.target, (), record)
+        with pytest.raises(TypeError):
+            TransferPlan(plan.source, plan.target, (), _values=record)
+        with pytest.raises(ValueError):
+            dataclasses.replace(plan, _values=record)
+
+    def test_replay_still_checks_every_step_of_a_planned_plan(self, applied):
+        plan = plan_transfers(self.CHAIN, self.STAR)
+        del applied[:]
+        assert replay(plan) == self.STAR
+        assert len(applied) == len(plan)
 
 
 def _load(data):

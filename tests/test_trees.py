@@ -42,7 +42,7 @@ from treemajor import (
 from treemajor import trees
 from treemajor.trees import (
     canonical_positions,
-    freeze_tree,
+    freeze,
     move_code_map,
     moves_via,
     neighbor_toward,
@@ -594,7 +594,7 @@ class TestSuccessorCodes:
         assert list(first) == legal_moves(t)
         assert len(calls) == len(first)
         moved = move_branch(t, *legal_moves(t)[0])
-        frozen = freeze_tree([list(t.neighbors(v)) for v in range(t.n)])
+        frozen = freeze([list(t.neighbors(v)) for v in range(t.n)])
         assert frozen == t
         for fresh in (moved, frozen):
             want = {mv: canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)}

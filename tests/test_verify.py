@@ -929,6 +929,19 @@ class TestGraphSampling:
         b = standard_graph_suite(6, count=12, seed=5)
         assert [g.edges for g in a] == [g.edges for g in b]
 
+    def test_sampled_graphs_skip_the_validating_constructor(self, monkeypatch):
+        def refuse(self, n, edges):
+            raise AssertionError("validating constructor called")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        rng = random.Random(11)
+        graphs = [random_connected_graph(n, rng) for n in range(3, 12) for _ in range(20)]
+        monkeypatch.undo()
+        for g in graphs:
+            valid = Graph(g.n, g.sorted_edges())
+            assert type(g) is Graph
+            assert [g.neighbors(v) for v in range(g.n)] == [valid.neighbors(v) for v in range(g.n)]
+
     def test_never_a_chain(self):
         rng = random.Random(3)
         for _ in range(50):
