@@ -90,6 +90,11 @@ class DeltaSequence:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DeltaSequence is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, as __setattr__
+        # refuses the slot-by-slot restore
+        return DeltaSequence, (self.values,)
+
     def __repr__(self) -> str:
         return f"DeltaSequence({list(self.values)!r})"
 

@@ -21,9 +21,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import BoundExceeded, NotMajorized, TreeMajorError
 from .realize import MoveTrace
+from .transfers import transfer_in_place
 from .sequences import (
     CONVEX_TEST_FAMILY,
     ComparisonResult,
@@ -42,6 +44,7 @@ from .trees import (
     Graph,
     Tree,
     apply_moves,
+    branches_at,
     canonical_code,
     chain,
     complete_graph,
@@ -193,6 +196,45 @@ def reachability_closure(t: Tree) -> tuple[Tree, ...]:
     return tuple(_classes(t.n)[0][code] for code in sorted(reachable_classes(t)))
 
 
+def _landing(have: Sequence[int], goal: Sequence[int]) -> tuple[int, int] | None:
+    """(donor degree, target degree) of a move that turns the sorted degrees
+    ``have`` into ``goal``, or None.  A move turns a donor degree d into d-1
+    and a target degree e >= d into e+1, so one lands exactly when the two
+    differ at two ranks, +1 at the higher and -1 at the lower."""
+    ranks = [k for k, (h, g) in enumerate(zip(have, goal)) if h != g]
+    if len(ranks) == 2:
+        i, j = ranks
+        if goal[i] == have[i] + 1 and goal[j] == have[j] - 1:
+            return have[j], have[i]
+    return None
+
+
+def _moved(have: Sequence[int], d: int, e: int) -> list[int]:
+    """The sorted degrees ``have`` after a move from a donor of degree d to a
+    target of degree e >= d: one basic transfer from a rank of d to the
+    first rank of e, which for d = e is followed by a second d."""
+    moved = list(have)
+    i = have.index(e) + 1
+    transfer_in_place(moved, i, i + 1 if d == e else have.index(d) + 1)
+    return moved
+
+
+def _landing_move(t: Tree, d: int, e: int) -> tuple[int, int, int]:
+    """The first of :func:`legal_moves` of ``t`` from a donor of degree d to
+    a target of degree e >= d >= 2, read directly: the smallest donor of
+    degree d, its smallest gateway whose branch leaves a node of degree e
+    outside it, and the smallest such node.  The smallest donor always has
+    one: a node of degree e lies in only one of its d >= 2 branches."""
+    deg = [t.degree(v) for v in range(t.n)]
+    donor = deg.index(d)
+    return next(
+        (donor, branch.gateway, w)
+        for branch in branches_at(t, donor)
+        for w in range(t.n)
+        if deg[w] == e and w != donor and w not in branch.members
+    )
+
+
 def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     """Shortest concrete move sequence from ``t`` to any tree whose degree
     sequence is ``target_delta``, or None if no class with that sequence is
@@ -201,61 +243,76 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     Every move strictly raises the degree sequence, so the order decides
     first: an equal target gives the zero-move trace and one that does not
     strictly dominate ``delta_sequence(t)`` gives None, with no search.
-    Each popped class's moves come from :func:`trees.moves_via` and the
-    class store: a stored tree's codes are read onto the popped tree with
-    nothing coded, and a class the store lacks joins it as the popped
-    tree, all its moves coded.  A concrete tree is built, by
-    :func:`move_branch` from its parent's, only for a class the search
-    expands or ends on.  Raises BoundExceeded above
+    Each expanded class's moves come from :func:`trees.moves_via` and the
+    class store: a stored tree's codes are read onto the expanded tree with
+    nothing coded, and a class the store lacks joins it as the expanded
+    tree, all its moves coded.
+
+    The search ends when it discovers a class one landing move short of the
+    target (:func:`_landing`), the source included: queued classes are
+    expanded in discovery order, so that is the class an expand-then-test
+    search would land from, with the same parent.  Each discovered class is
+    tested from its parent's sorted degrees and the move's (donor degree,
+    target degree) pair, once per distinct pair, and not at all when the
+    parent differs from the target at more than four ranks, since a move
+    changes two.  The end class's tree is built from its parent's and is
+    neither coded nor stored; its first landing move in
+    :func:`legal_moves` order is read directly (:func:`_landing_move`).  A
+    concrete tree is built, by :func:`move_branch` from its parent's, only
+    for a class the search expands or ends on.  Raises BoundExceeded above
     REACHABILITY_MAX_NODES, and LengthMismatch or NotTreeFeasible for a
     target that is not a tree sequence on ``t.n``.
     """
     _require_reachability_bound(t.n)
     require_tree_sequence(t.n, target_delta)
-    rel = compare(delta_sequence(t), target_delta)
+    base = delta_sequence(t)
+    rel = compare(base, target_delta)
     if rel is ComparisonResult.EQUAL:
         return MoveTrace(initial=t, moves=(), final=t)
     if rel is not ComparisonResult.STRICTLY_BELOW:
         return None
     coded = _coded(t.n)
     goal = target_delta.values
-    # parent pointers, and a concrete tree once a class is expanded, so the
-    # trace replays literally
+    # parent pointers, fixed at discovery, and a concrete tree once a class
+    # is expanded, so the trace replays literally
     start = canonical_code(t)
     info: dict[CanonicalCode, list] = {start: [t, None, None]}
+    end, end_tree = start, t
+    hit = _landing(base.values, goal)
     queue = deque([start])
-    while queue:
+    while hit is None and queue:
         code = queue.popleft()
         entry = info[code]
         if entry[0] is None:
             entry[0] = move_branch(info[entry[1]][0], *entry[2])
         tree = entry[0]
         deg = [tree.degree(v) for v in range(tree.n)]
-        # a move turns a donor degree d into d-1 and a target degree e >= d
-        # into e+1, so it lands on the goal exactly when the sorted degrees
-        # differ from it at two ranks, +1 at the higher and -1 at the lower
         have = sorted(deg, reverse=True)
-        ranks = [k for k in range(tree.n) if have[k] != goal[k]]
-        hit = None  # (donor, target) degrees of a landing move
-        if len(ranks) == 2:
-            i, j = ranks
-            if goal[i] == have[i] + 1 and goal[j] == have[j] - 1:
-                hit = (have[j], have[i])
+        near = sum(h != g for h, g in zip(have, goal)) <= 4
+        hits: dict[tuple[int, int], tuple[int, int] | None] = {}
         for mv, nxt_code in moves_via(tree, coded.setdefault(code, tree)):
             if nxt_code in info:
                 continue
             info[nxt_code] = [None, code, mv]
-            if (deg[mv[0]], deg[mv[2]]) != hit:
-                queue.append(nxt_code)
-                continue
-            path = []
-            while nxt_code != start:
-                _, nxt_code, step = info[nxt_code]
-                path.append(step)
-            return MoveTrace(
-                initial=t, moves=tuple(reversed(path)), final=move_branch(tree, *mv)
-            )
-    return None
+            if near:
+                pair = deg[mv[0]], deg[mv[2]]
+                if pair not in hits:
+                    hits[pair] = _landing(_moved(have, *pair), goal)
+                hit = hits[pair]
+                if hit is not None:
+                    end, end_tree = nxt_code, move_branch(tree, *mv)
+                    break
+            queue.append(nxt_code)
+    if hit is None:
+        return None
+    last = _landing_move(end_tree, *hit)
+    path = [last]
+    while end != start:
+        _, end, step = info[end]
+        path.append(step)
+    return MoveTrace(
+        initial=t, moves=tuple(reversed(path)), final=move_branch(end_tree, *last)
+    )
 
 
 def certify_reachability(

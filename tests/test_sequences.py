@@ -1,5 +1,7 @@
 """Degree-sequence values, validation, comparison, Lorenz curves."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,19 @@ class TestDeltaSequence:
     def test_hash_eq(self):
         assert DeltaSequence([1, 2]) == DeltaSequence([2, 1])
         assert hash(DeltaSequence([1, 2])) == hash(DeltaSequence([2, 1]))
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles(self, round_trip):
+        s = DeltaSequence([3, 2, 1, 1, 1])
+        other = round_trip(s)
+        assert type(other) is DeltaSequence
+        assert other == s and hash(other) == hash(s)
+        with pytest.raises(AttributeError):
+            other.values = (3,)
 
 
 class TestValidateTreeSequence:

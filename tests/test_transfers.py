@@ -1,7 +1,9 @@
 """Basic transfers, plan construction, replay, serialization."""
 
+import copy
 import dataclasses
 import json
+import pickle
 from itertools import pairwise
 
 import pytest
@@ -188,6 +190,20 @@ class TestPlannedRecord:
         bad = dataclasses.replace(plan, steps=plan.steps[:-1])
         with pytest.raises(InvalidPlan, match="not the target"):
             list(bad.values_per_step())
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_keep_the_record(self, round_trip, applied):
+        plan = plan_transfers(self.CHAIN, self.STAR)
+        want = list(plan.values_per_step())
+        other = round_trip(plan)
+        assert other == plan
+        del applied[:]
+        assert list(other.values_per_step()) == want
+        assert applied == []
 
     def test_record_cannot_be_passed_in(self):
         plan = plan_transfers(self.CHAIN, self.STAR)

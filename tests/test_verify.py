@@ -1,5 +1,7 @@
 """Order structure, reachability closures, certificates, diagrams, samplers."""
 
+import copy
+import pickle
 import random
 import re
 from collections import deque
@@ -21,6 +23,7 @@ from treemajor import (
     REACHABILITY_MAX_NODES,
     ReachabilityCertificate,
     Tree,
+    apply_moves,
     basic_transfer,
     canonical_code,
     certify_reachability,
@@ -342,16 +345,70 @@ class TestMoveTraces:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_the_move_branch_search(self, n):
+        # each class and a seeded relabelled copy of it, whose moves come in
+        # another order
+        rng = random.Random(n)
         census = delta_census(n)
+        for rep in enumerate_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = Tree(n, [(perm[u], perm[v]) for u, v in rep.sorted_edges()])
+            for t in (rep, relabelled):
+                for target in census:
+                    got = find_move_trace(t, target)
+                    want = _find_move_trace_reference(t, target)
+                    assert got == want, (t, target)
+                    if got is not None:
+                        assert [got.final.neighbors(v) for v in range(n)] == [
+                            want.final.neighbors(v) for v in range(n)
+                        ]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_a_class_one_move_short_ends_the_search(self, n, monkeypatch):
+        # the search ends on discovering a class with a landing move, so a
+        # target one move away expands nothing and one two moves away
+        # expands the source alone
+        calls = []
+        real = verify.moves_via
+        monkeypatch.setattr(verify, "moves_via", lambda t, ref: calls.append(1) or real(t, ref))
+        census = delta_census(n)
+        lengths = set()
         for t in enumerate_trees(n):
             for target in census:
-                got = find_move_trace(t, target)
-                want = _find_move_trace_reference(t, target)
-                assert got == want, (t, target)
-                if got is not None:
-                    assert [got.final.neighbors(v) for v in range(n)] == [
-                        want.final.neighbors(v) for v in range(n)
-                    ]
+                calls.clear()
+                trace = find_move_trace(t, target)
+                if trace is not None and len(trace.moves) in (1, 2):
+                    lengths.add(len(trace.moves))
+                    assert len(calls) == len(trace.moves) - 1, (t, target)
+        if n >= 5:  # the chain is two moves from the star from n = 5 on
+            assert lengths == {1, 2}
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_a_cold_search_stores_the_classes_it_expands(self, n, monkeypatch):
+        # the class store gains exactly the expanded classes, in expansion
+        # order; the end class, one landing move short, is built but not
+        # expanded, coded or stored
+        expanded = []
+        real = verify.moves_via
+        monkeypatch.setattr(
+            verify, "moves_via", lambda t, ref: expanded.append(canonical_code(t)) or real(t, ref)
+        )
+        census = delta_census(n)
+        deep = 0  # searches that expand more than the source
+        for t in enumerate_trees(n):
+            base = delta_sequence(t)
+            for target in census:
+                if compare(base, target) is not ComparisonResult.STRICTLY_BELOW:
+                    continue
+                verify._coded.cache_clear()
+                expanded.clear()
+                trace = find_move_trace(t, target)
+                assert list(verify._coded(n)) == expanded
+                end = apply_moves(t, trace.moves[:-1])
+                assert canonical_code(end) not in verify._coded(n)
+                deep += len(trace.moves) > 2
+        verify._coded.cache_clear()
+        assert deep > 0
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_one_transfer_is_one_move(self, n):
@@ -442,6 +499,17 @@ class TestCertificates:
         cert = certify_reachability(star(7), delta_sequence(chain(7)))
         assert cert.closure is not None and cert.trace is None
         assert check_certificate(cert)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_still_check(self, round_trip):
+        cert = certify_reachability(chain(7), DeltaSequence([4, 3, 1, 1, 1, 1, 1]))
+        other = round_trip(cert)
+        assert other == cert
+        assert check_certificate(other)
 
     def test_checking_a_closure_just_built_codes_nothing(self, monkeypatch):
         # on a cleared memo and store, the closure's members are the memo's
@@ -594,18 +662,24 @@ class TestMajorizationReachability:
 
     @pytest.mark.parametrize("n, classes", [(10, 106), (12, 551)])
     def test_a_pass_after_a_cold_search_codes_no_class_twice(self, n, classes, monkeypatch):
-        # the chain -> star search stores every class it pops, moves coded,
-        # and the pass reads them from the store: it codes the enumeration's
-        # one canonical code per class, and the star, which has no moves
+        # the chain -> star search stores every class it expands, moves
+        # coded, and the pass reads them from the store: it codes the
+        # enumeration's one canonical code per class, and the moves of each
+        # class the search did not store, on its representative
         verify._classes.cache_clear()
         verify._coded.cache_clear()
         calls = []
         real = trees._peel_code
         monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
         find_move_trace(chain(n), delta_sequence(star(n)))
+        stored = set(verify._coded(n))
         calls.clear()
         assert verify_majorization_reachability(n) == (True, [])
-        assert len(calls) == len(verify._classes(n)[0]) == classes
+        reps = verify._classes(n)[0]
+        assert len(reps) == classes
+        assert len(calls) == classes + sum(
+            len(legal_moves(t)) for code, t in reps.items() if code not in stored
+        )
 
     def test_failure_certificates_when_a_move_is_missing(self, patched_successors):
         # drop the move from the 5,2,1,... class to the star, its one
