@@ -131,16 +131,15 @@ class Tree(Graph):
     """A labeled free tree on nodes 0..n-1: a connected graph with exactly
     n-1 edges.
 
-    Trees compare by value.  The canonical code and positions and the move
-    -> code map are each computed once on demand and cached.
+    Trees compare by value.  The canonical code and the move -> code map
+    are each computed once on demand and cached.
     """
 
-    __slots__ = ("_code", "_positions", "_moves")
+    __slots__ = ("_code", "_moves")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
         self._code: CanonicalCode | None = None
-        self._positions: list[int] | None = None
         self._moves: dict[tuple[int, int, int], CanonicalCode] | None = None
 
     def _check_edge_count(self, n: int, m: int) -> None:
@@ -170,11 +169,11 @@ class Branch:
     members: frozenset[int]
 
 
-def _require_node_count(n: int, shape: str) -> None:
+def _require_node_count(n: int, shape: str, least: int = 2) -> None:
     if type(n) is not int:
         raise TypeError(f"node count must be an int, got {n!r}")
-    if n < 2:
-        raise ValueError(f"{shape} needs n >= 2, got {n}")
+    if n < least:
+        raise ValueError(f"{shape} needs n >= {least}, got {n}")
 
 
 def chain(n: int) -> Tree:
@@ -245,7 +244,7 @@ def freeze(nbrs: Sequence[Sequence[int]], kind: type[Graph] = Tree) -> Graph:
     g.n = len(nbrs)
     g._adj = tuple(map(tuple, nbrs))
     if kind is Tree:
-        g._code = g._positions = g._moves = None
+        g._code = g._moves = None
     return g
 
 
@@ -355,80 +354,6 @@ def move_code_map(t: Tree) -> dict[tuple[int, int, int], CanonicalCode]:
     return t._moves
 
 
-def canonical_positions(t: Tree) -> list[int]:
-    """Position of each node when the tree is numbered level by level from
-    its centre, each node's children in the order of their subtree codes
-    (with two central nodes, the half of lower code first); computed once
-    and cached like the canonical code.  Isomorphic trees relabelled by
-    their positions are the same labelled tree (Aho, Hopcroft and Ullman's
-    canonical labelling), so ``pos_ref^-1 . pos_t`` maps ``t`` onto an
-    isomorphic ``ref``.  One leaf-peeling pass codes the subtrees as
-    :func:`canonical_code` does: a leaf child's code "()" sorts after every
-    other, so leaf children are only collected, and numbered last."""
-    if t._positions is not None:
-        return t._positions
-    adj, n = t._adj, t.n
-    deg = [len(ws) for ws in adj]
-    code = [""] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
-    leaves: list[list[int]] = [[] for _ in range(n)]
-    layer = [v for v in range(n) if deg[v] < 2]
-    remaining = n
-    while remaining > 2:
-        leafy = remaining == n
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for p in adj[v]:
-                if deg[p]:
-                    break
-            if leafy:
-                leaves[p].append(v)
-            else:
-                ks = kids[v]
-                ks.sort(key=code.__getitem__)
-                code[v] = "(" + "".join([code[c] for c in ks]) + "()" * len(leaves[v]) + ")"
-                kids[p].append(v)
-            deg[p] -= 1
-            if deg[p] == 1:
-                nxt.append(p)
-        layer = nxt
-    for c in layer:
-        kids[c].sort(key=code.__getitem__)
-        code[c] = "(" + "".join([code[k] for k in kids[c]]) + "()" * len(leaves[c]) + ")"
-    order = sorted(layer, key=code.__getitem__)
-    for v in order:
-        order += kids[v]
-        order += leaves[v]
-    pos = [0] * n
-    for k, v in enumerate(order):
-        pos[v] = k
-    t._positions = pos
-    return pos
-
-
-def moves_via(t: Tree, ref: Tree) -> list[tuple[tuple[int, int, int], CanonicalCode]]:
-    """(move, code) for each of :func:`legal_moves` of ``t``, in its order,
-    read from the :func:`move_code_map` of ``ref``, a tree isomorphic to
-    ``t``: t's own pairs when ``ref is t``, and otherwise nothing of t is
-    coded.  Each of ref's moves is carried onto ``t`` by
-    ``pos_t^-1 . pos_ref`` (:func:`canonical_positions`), the inverse of
-    ``pos_ref^-1 . pos_t``, with its code; sorting the carried moves gives
-    legal_moves' order without its branch searches."""
-    ref_moves = move_code_map(ref)
-    if ref is t:
-        return list(ref_moves.items())
-    node_at = [0] * t.n
-    for v, k in enumerate(canonical_positions(t)):
-        node_at[k] = v
-    to_t = [node_at[k] for k in canonical_positions(ref)]
-    return sorted(
-        [((to_t[donor], to_t[gw], to_t[target]), code)
-         for (donor, gw, target), code in ref_moves.items()]
-    )
-
-
 def _peel_code(adj: Sequence[Iterable[int]], deg: list[int]) -> CanonicalCode:
     # Peels leaves layer by layer, using up ``deg`` (each node's degree).  A
     # node is coded when it is peeled: its children are peeled already and
@@ -480,14 +405,12 @@ def is_isomorphic(t1: Tree, t2: Tree) -> bool:
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+    _require_node_count(n, "cycle", 3)
     return Graph(n, [(k, (k + 1) % n) for k in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got {n}")
+    _require_node_count(n, "complete graph")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 

@@ -3,16 +3,16 @@ machine-checkable certificates.
 
 Everything here works over isomorphism classes: reachability under
 degree-rule branch moves is invariant under relabeling, so the state space
-is the set of tree classes.  One class store per size keeps the one tree
-of each class whose moves are coded, and the tree's own cache holds its
-codes.  The reachability memo reads a class's successors from that tree,
-and the move-trace search reads its moves onto any isomorphic tree
-through canonical positions, so no class is coded twice.  The memo is a
-plain cache: only the theorem pass checks that each move raises the
-degree sequence, and closure walks trust the moves.  Certificates
-carry either a concrete move trace (positive evidence) or the full closed
-reachable set (negative evidence); :func:`check_certificate` re-verifies
-either kind from the trees it holds, never from the memo or the store.
+is the set of tree classes.  The reachability memo of each size holds
+one representative per class and reads a class's successors from that
+tree's move map, cached on the tree.  The memo is a plain cache: only the
+theorem pass checks that each move raises the degree sequence, and
+closure walks trust the moves.  The move-trace search needs no classes: a
+tree's successor degree sequences follow from its own, so it searches
+over sorted degree sequences, codes nothing and never reads the memo.
+Certificates carry either a concrete move trace (positive evidence) or
+the full closed reachable set (negative evidence); :func:`check_certificate`
+re-verifies either kind from the trees it holds, never from the memo.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .trees import (
     cycle_graph,
     delta_sequence,
     freeze,
+    legal_moves,
     move_branch,
     move_code_map,
-    moves_via,
 )
 
 __all__ = [
@@ -84,7 +84,9 @@ __all__ = [
 #: forward check included, took 0.20-0.28 s, and the largest negative
 #: certificate (a 525-class closure) 0.22-0.28 s to build cold and
 #: 0.003-0.005 s to check (0.19-0.25 s with fresh copies of its members); at
-#: n=13 the theorem pass took 0.51-0.87 s, too close to the budget.
+#: n=13 the theorem pass took 0.51-0.87 s, too close to the budget.  The
+#: move-trace search codes no class, and keeps the bound only so that what
+#: raises BoundExceeded does not change.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
 #: At most this many random extra edges join each sampled graph's tree.
@@ -152,20 +154,12 @@ def _classes(n: int):
     return reps, deltas
 
 
-@lru_cache(maxsize=None)
-def _coded(n: int) -> dict[CanonicalCode, Tree]:
-    """The class store of size ``n``: code -> the one tree of that class
-    whose moves are coded, the first one :func:`_successors` or
-    :func:`find_move_trace` asked for.  Its codes are cached on the tree."""
-    return {}
-
-
 def _successors(n: int, code: CanonicalCode):
     """Successor codes of one class, one per move and so with repeats: the
-    values of its stored tree's move map; the representative is stored, and
-    coded, when no tree of the class is.  Nothing is checked here: the
-    theorem pass owns the forward check."""
-    return move_code_map(_coded(n).setdefault(code, _classes(n)[0][code])).values()
+    values of its representative's move map, coded once and cached on the
+    tree.  Nothing is checked here: the theorem pass owns the forward
+    check."""
+    return move_code_map(_classes(n)[0][code]).values()
 
 
 def _require_reachability_bound(n: int) -> None:
@@ -238,30 +232,40 @@ def _landing_move(t: Tree, d: int, e: int) -> tuple[int, int, int]:
 def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     """Shortest concrete move sequence from ``t`` to any tree whose degree
     sequence is ``target_delta``, or None if no class with that sequence is
-    reachable.  Deterministic: breadth-first, moves in canonical order.
+    reachable.  Deterministic: breadth-first, moves in :func:`legal_moves`
+    order.
 
     Every move strictly raises the degree sequence, so the order decides
     first: an equal target gives the zero-move trace and one that does not
     strictly dominate ``delta_sequence(t)`` gives None, with no search.
-    Each expanded class's moves come from :func:`trees.moves_via` and the
-    class store: a stored tree's codes are read onto the expanded tree with
-    nothing coded, and a class the store lacks joins it as the expanded
-    tree, all its moves coded.
 
-    The search ends when it discovers a class one landing move short of the
-    target (:func:`_landing`), the source included: queued classes are
-    expanded in discovery order, so that is the class an expand-then-test
-    search would land from, with the same parent.  Each discovered class is
-    tested from its parent's sorted degrees and the move's (donor degree,
-    target degree) pair, once per distinct pair, and not at all when the
-    parent differs from the target at more than four ranks, since a move
-    changes two.  The end class's tree is built from its parent's and is
-    neither coded nor stored; its first landing move in
-    :func:`legal_moves` order is read directly (:func:`_landing_move`).  A
-    concrete tree is built, by :func:`move_branch` from its parent's, only
-    for a class the search expands or ends on.  Raises BoundExceeded above
-    REACHABILITY_MAX_NODES, and LengthMismatch or NotTreeFeasible for a
-    target that is not a tree sequence on ``t.n``.
+    The search runs over sorted degree sequences, not classes, and codes
+    nothing.  A move turns one donor degree d into d-1 and one target
+    degree e >= d into e+1, so a tree's successor sequences depend only on
+    its own sequence (:func:`_moved`), and distinct (d, e) pairs give
+    distinct successors.  Each sequence is expanded once, on the tree it was
+    first discovered as: the first move of each distinct (d, e) pair, in
+    legal_moves order, discovers that pair's successor unless it is known.
+    The trace is the one a breadth-first search over classes finds.  That
+    search discovers each new sequence by the first move of its pair from
+    the first queued class of the parent sequence, and a later class whose
+    sequence was seen earlier discovers no new sequence; whether a class
+    lands depends on its sequence alone.  So both searches record the same
+    first discoveries, from the same parent tree by the same move, and end
+    on the same one.
+
+    The search ends when it discovers a sequence one landing move short of
+    the target (:func:`_landing`), the source included: queued sequences
+    are expanded in discovery order, so that is the sequence an
+    expand-then-test search would land from, with the same parent.  Each
+    discovered sequence is tested, except when its parent differs from the
+    target at more than four ranks, since a move changes two.  The end tree
+    is built from its parent's; its first landing move in legal_moves order
+    is read directly (:func:`_landing_move`).  A concrete tree is built, by
+    :func:`move_branch` from its parent's, only for a sequence the search
+    expands or ends on.  Raises BoundExceeded above REACHABILITY_MAX_NODES,
+    and LengthMismatch or NotTreeFeasible for a target that is not a tree
+    sequence on ``t.n``.
     """
     _require_reachability_bound(t.n)
     require_tree_sequence(t.n, target_delta)
@@ -271,38 +275,37 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
         return MoveTrace(initial=t, moves=(), final=t)
     if rel is not ComparisonResult.STRICTLY_BELOW:
         return None
-    coded = _coded(t.n)
     goal = target_delta.values
-    # parent pointers, fixed at discovery, and a concrete tree once a class
-    # is expanded, so the trace replays literally
-    start = canonical_code(t)
-    info: dict[CanonicalCode, list] = {start: [t, None, None]}
+    # parent pointers, fixed at discovery, and a concrete tree once a
+    # sequence is expanded, so the trace replays literally
+    start = base.values
+    info: dict[tuple[int, ...], list] = {start: [t, None, None]}
     end, end_tree = start, t
-    hit = _landing(base.values, goal)
+    hit = _landing(start, goal)
     queue = deque([start])
     while hit is None and queue:
-        code = queue.popleft()
-        entry = info[code]
+        have = queue.popleft()
+        entry = info[have]
         if entry[0] is None:
             entry[0] = move_branch(info[entry[1]][0], *entry[2])
         tree = entry[0]
-        deg = [tree.degree(v) for v in range(tree.n)]
-        have = sorted(deg, reverse=True)
         near = sum(h != g for h, g in zip(have, goal)) <= 4
-        hits: dict[tuple[int, int], tuple[int, int] | None] = {}
-        for mv, nxt_code in moves_via(tree, coded.setdefault(code, tree)):
-            if nxt_code in info:
+        pairs = set()
+        for mv in legal_moves(tree):
+            pair = tree.degree(mv[0]), tree.degree(mv[2])
+            if pair in pairs:
                 continue
-            info[nxt_code] = [None, code, mv]
+            pairs.add(pair)
+            nxt = tuple(_moved(have, *pair))
+            if nxt in info:
+                continue
+            info[nxt] = [None, have, mv]
             if near:
-                pair = deg[mv[0]], deg[mv[2]]
-                if pair not in hits:
-                    hits[pair] = _landing(_moved(have, *pair), goal)
-                hit = hits[pair]
+                hit = _landing(nxt, goal)
                 if hit is not None:
-                    end, end_tree = nxt_code, move_branch(tree, *mv)
+                    end, end_tree = nxt, move_branch(tree, *mv)
                     break
-            queue.append(nxt_code)
+            queue.append(nxt)
     if hit is None:
         return None
     last = _landing_move(end_tree, *hit)
@@ -383,6 +386,8 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     canonical class order then cover order.  Returns (all_ok,
     certificates-for-failures).
     """
+    if type(n) is not int:
+        raise TypeError(f"node count must be an int, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     reps, deltas = _classes(n)
@@ -418,11 +423,14 @@ def find_unreachable_pair(
     reachable from T, or None when every target class is reachable from
     every source class.
 
-    Raises BoundExceeded for n above the bound before anything else.
+    Raises TypeError unless n is an int (a bool is not), then BoundExceeded
+    for n above the bound, before anything else.
     Requires s strictly below s'; equal sequences trivially yield None.
     Classes are scanned in canonical-code order, so the answer is
     deterministic.
     """
+    if type(n) is not int:
+        raise TypeError(f"node count must be an int, got {n!r}")
     _require_reachability_bound(n)
     rel = compare(s, s_prime)
     if rel is ComparisonResult.EQUAL:
@@ -522,6 +530,8 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """A uniform random labeled tree (via a random Prufer sequence) plus up
     to ``_MAX_EXTRA_EDGES`` random extra edges; resampled until it is not a
     path."""
+    if type(n) is not int:
+        raise TypeError(f"node count must be an int, got {n!r}")
     if n < 3:
         raise ValueError(f"no connected non-chain graph exists for n={n}")
     while True:
@@ -548,9 +558,11 @@ def standard_graph_suite(
 ) -> list[Graph]:
     """Deterministic sample of ``count`` connected non-chain graphs: the
     cycle, the complete graph, then seeded random ones.  Empty for n < 3,
-    where every connected graph is a chain.  A ``count`` or ``seed`` that is
-    not an int (a bool is not) raises TypeError, and a negative count
-    ValueError."""
+    where every connected graph is a chain.  An ``n``, ``count`` or ``seed``
+    that is not an int (a bool is not) raises TypeError, and a negative
+    count ValueError."""
+    if type(n) is not int:
+        raise TypeError(f"node count must be an int, got {n!r}")
     if type(count) is not int:
         raise TypeError(f"sample count must be an int, got {count!r}")
     if type(seed) is not int:

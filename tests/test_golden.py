@@ -4,8 +4,8 @@ each of their output forms.  Two more digests pin a plan replay from a
 random tree, which the chain-sourced realizations never exercise, and the
 canonical code of every successor that the exhaustive search reads.  The
 reachability answers are pinned by every certificate for every class and
-census target, by certificates from relabelled sources with the class
-store cold and warm, and by the theorem pass and unreachable pairs; one
+census target, by certificates from relabelled sources with the memo
+cold and warm, and by the theorem pass and unreachable pairs; one
 more digest pins the sampled graph suite.
 
 A change that keeps behaviour must leave these digests alone; a change
@@ -189,17 +189,16 @@ def test_certificates_match_digest():
     )
 
 
-@pytest.mark.parametrize("store", ["cleared", "after the theorem pass"])
-def test_certificates_from_relabelled_sources_match_digest(store):
+@pytest.mark.parametrize("memo", ["cleared", "after the theorem pass"])
+def test_certificates_from_relabelled_sources_match_digest(memo):
     # every class at n = 8..10, relabelled, to the middle target of each
-    # kind (reachable, unreachable) in census order; the searches read the
-    # class store through canonical positions when it holds their classes
+    # kind (reachable, unreachable) in census order, on a cleared memo and
+    # on one the theorem pass filled
     verify._classes.cache_clear()
-    verify._coded.cache_clear()
     digest = hashlib.sha256()
     count = 0
     for n in range(8, 11):
-        if store != "cleared":
+        if memo != "cleared":
             verify_majorization_reachability(n)
         rng = random.Random(n)
         census = delta_census(n)

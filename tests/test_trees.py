@@ -41,10 +41,8 @@ from treemajor import (
 )
 from treemajor import trees
 from treemajor.trees import (
-    canonical_positions,
     freeze,
     move_code_map,
-    moves_via,
     neighbor_toward,
 )
 from oracles import (
@@ -260,10 +258,10 @@ class TestBuilders:
             assert chain(n) == Tree(n, [(k, k + 1) for k in range(n - 1)]), n
             assert star(n) == Tree(n, [(0, k) for k in range(1, n)]), n
 
-    @pytest.mark.parametrize("build", [chain, star])
+    @pytest.mark.parametrize("build", [chain, star, cycle_graph, complete_graph])
     @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
     def test_non_int_node_count(self, build, n):
-        # a bool is not a node count
+        # a bool is not a node count, and the type is checked before the size
         with pytest.raises(TypeError, match="node count must be an int"):
             build(n)
 
@@ -285,7 +283,7 @@ class TestTrustedBuilds:
         assert all(list(ws) == sorted(ws) for ws in t._adj)
 
     def test_slots(self):
-        assert Tree.__slots__ == ("_code", "_positions", "_moves")
+        assert Tree.__slots__ == ("_code", "_moves")
 
     def test_each_build(self):
         # labels up to 59 in small sets, which do not iterate in order
@@ -602,67 +600,6 @@ class TestSuccessorCodes:
             assert move_code_map(fresh) == want
             assert move_code_map(fresh) is move_code_map(fresh)
             assert len(calls) == len(want)
-
-
-def _by_positions(t: Tree) -> Tree:
-    pos = canonical_positions(t)
-    return Tree(t.n, [(pos[u], pos[v]) for u, v in t.sorted_edges()])
-
-
-def _relabelled(t: Tree, rng: random.Random) -> Tree:
-    perm = list(range(t.n))
-    rng.shuffle(perm)
-    return relabel(t, dict(enumerate(perm)))
-
-
-class TestCanonicalPositions:
-    """Relabelled by their positions, two trees are equal exactly when their
-    canonical codes are."""
-
-    @staticmethod
-    def _assert_positions_decide_isomorphism(trees_):
-        by_code: dict[str, Tree] = {}
-        for t in trees_:
-            assert sorted(canonical_positions(t)) == list(range(t.n))
-            assert by_code.setdefault(canonical_code(t), _by_positions(t)) == _by_positions(t)
-        assert len(set(by_code.values())) == len(by_code)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_every_class_relabelled(self, n):
-        rng = random.Random(n)
-        classes = enumerate_trees(n)
-        self._assert_positions_decide_isomorphism(
-            [u for t in classes for u in (t, _relabelled(t, rng), _relabelled(t, rng))]
-        )
-
-    def test_seeded_prufer_trees(self):
-        rng = random.Random(60)
-        sample = _seeded_prufer_trees(40, 60, seed=60)
-        self._assert_positions_decide_isomorphism(
-            sample + [_relabelled(t, rng) for t in sample]
-        )
-
-    def test_cached(self):
-        t = tree_from_prufer([3, 3, 0, 5])
-        assert canonical_positions(t) is canonical_positions(t)
-
-
-class TestMovesVia:
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_reads_what_move_codes_codes(self, n, monkeypatch):
-        # each class's map, read onto a relabelled copy: the copy's own
-        # (move, code) pairs in legal_moves' order, coded on an equal tree,
-        # with nothing of the copy coded; read onto the class's own tree,
-        # the map's own pairs
-        rng = random.Random(n)
-        for ref in enumerate_trees(n):
-            own = list(move_code_map(ref).items())
-            copy = _relabelled(ref, rng)
-            want = list(move_code_map(Tree(n, copy.sorted_edges())).items())
-            monkeypatch.setattr(trees, "_peel_code", None)
-            assert moves_via(ref, ref) == own
-            assert moves_via(copy, ref) == want
-            monkeypatch.undo()
 
 
 class TestCanonicalCode:

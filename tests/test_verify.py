@@ -99,14 +99,11 @@ def _closure_codes_reference(edges, start):
 @pytest.fixture
 def patched_successors(monkeypatch):
     """The monkeypatch fixture, for a test that patches
-    verify.move_code_map.  The successor memo and the class store are
-    cached per n, so both are cleared before and after, and a patched memo
-    never outlives the test."""
+    verify.move_code_map.  The successor memo is cached per n, so it is
+    cleared before and after, and a patched memo never outlives the test."""
     verify._classes.cache_clear()
-    verify._coded.cache_clear()
     yield monkeypatch
     verify._classes.cache_clear()
-    verify._coded.cache_clear()
 
 
 def _reachability_failures_reference(n, reps, edges):
@@ -367,10 +364,10 @@ class TestMoveTraces:
     def test_a_class_one_move_short_ends_the_search(self, n, monkeypatch):
         # the search ends on discovering a class with a landing move, so a
         # target one move away expands nothing and one two moves away
-        # expands the source alone
+        # expands the source alone; each expansion lists the tree's moves
         calls = []
-        real = verify.moves_via
-        monkeypatch.setattr(verify, "moves_via", lambda t, ref: calls.append(1) or real(t, ref))
+        real = verify.legal_moves
+        monkeypatch.setattr(verify, "legal_moves", lambda t: calls.append(1) or real(t))
         census = delta_census(n)
         lengths = set()
         for t in enumerate_trees(n):
@@ -385,13 +382,13 @@ class TestMoveTraces:
 
     @pytest.mark.parametrize("n", [7, 9])
     def test_a_cold_search_stores_the_classes_it_expands(self, n, monkeypatch):
-        # the class store gains exactly the expanded classes, in expansion
-        # order; the end class, one landing move short, is built but not
-        # expanded, coded or stored
+        # the search keeps no class store: it expands at most one tree per
+        # degree sequence, and the end tree, one landing move short, is
+        # built but its sequence is never expanded
         expanded = []
-        real = verify.moves_via
+        real = verify.legal_moves
         monkeypatch.setattr(
-            verify, "moves_via", lambda t, ref: expanded.append(canonical_code(t)) or real(t, ref)
+            verify, "legal_moves", lambda t: expanded.append(delta_sequence(t)) or real(t)
         )
         census = delta_census(n)
         deep = 0  # searches that expand more than the source
@@ -400,14 +397,12 @@ class TestMoveTraces:
             for target in census:
                 if compare(base, target) is not ComparisonResult.STRICTLY_BELOW:
                     continue
-                verify._coded.cache_clear()
                 expanded.clear()
                 trace = find_move_trace(t, target)
-                assert list(verify._coded(n)) == expanded
+                assert len(set(expanded)) == len(expanded), (t, target)
                 end = apply_moves(t, trace.moves[:-1])
-                assert canonical_code(end) not in verify._coded(n)
+                assert delta_sequence(end) not in expanded
                 deep += len(trace.moves) > 2
-        verify._coded.cache_clear()
         assert deep > 0
 
     @pytest.mark.parametrize("n", range(3, 11))
@@ -433,7 +428,7 @@ class TestMoveTraces:
         def no_search(t):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(verify, "moves_via", lambda t, ref: no_search(t))
+        monkeypatch.setattr(verify, "legal_moves", no_search)
         n = 8
         census = delta_census(n)
         for t in enumerate_trees(n):
@@ -451,10 +446,9 @@ class TestMoveTraces:
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_warm_search_codes_only_its_source(self, n, monkeypatch):
-        # a search over classes not yet in the class store codes its source
-        # and every move of each class it pops, each of which it stores;
-        # once the theorem pass has stored every class, a search codes the
-        # source alone, and finds the same trace
+        # a search runs over degree sequences and codes nothing, neither its
+        # source nor a move, on a cleared memo or after the theorem pass has
+        # coded every class, and it finds the same trace either way
         calls = []
         real = trees._peel_code
         monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
@@ -471,15 +465,51 @@ class TestMoveTraces:
             target = above[len(above) // 2]
             want = _find_move_trace_reference(Tree(n, edges), target)
             verify._classes.cache_clear()
-            verify._coded.cache_clear()
             calls.clear()
             assert find_move_trace(Tree(n, edges), target) == want
-            popped = verify._coded(n).values()
-            assert len(calls) == 1 + sum(len(legal_moves(t)) for t in popped)
+            assert calls == []
             verify_majorization_reachability(n)
             calls.clear()
             assert find_move_trace(Tree(n, edges), target) == want
-            assert len(calls) == 1
+            assert calls == []
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_a_search_codes_nothing(self, n, monkeypatch):
+        # with the coder refusing and the memo cleared, seeded relabelled
+        # classes still find the reference trace to their middle target
+        rng = random.Random(n)
+        census = delta_census(n)
+        top = delta_sequence(star(n))
+        cases = []
+        for t in rng.sample([t for t in enumerate_trees(n) if delta_sequence(t) != top], 8):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            source = Tree(n, [(perm[u], perm[v]) for u, v in t.sorted_edges()])
+            base = delta_sequence(t)
+            above = [s for s in census if compare(base, s) is ComparisonResult.STRICTLY_BELOW]
+            target = above[len(above) // 2]
+            cases.append((source, target, _find_move_trace_reference(source, target)))
+        verify._classes.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("coded")
+
+        monkeypatch.setattr(trees, "_peel_code", refuse)
+        for source, target, want in cases:
+            assert find_move_trace(source, target) == want
+
+    def test_a_search_reads_no_cache(self):
+        # neither a cold nor a warm search reads or fills a per-size cache
+        caches = [f for f in vars(verify).values() if hasattr(f, "cache_info")]
+        assert verify._classes in caches
+        n = 9
+        for warm in (False, True):
+            if warm:
+                verify_majorization_reachability(n)
+            before = [f.cache_info() for f in caches]
+            for t in enumerate_trees(n):
+                find_move_trace(t, delta_sequence(star(n)))
+            assert [f.cache_info() for f in caches] == before
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_successor_codes_match_move_branch(self, n):
@@ -512,12 +542,11 @@ class TestCertificates:
         assert check_certificate(other)
 
     def test_checking_a_closure_just_built_codes_nothing(self, monkeypatch):
-        # on a cleared memo and store, the closure's members are the memo's
+        # on a cleared memo, the closure's members are the memo's
         # representatives, whose move maps the walk cached; fresh copies are
         # coded on their own, each its code and its moves, and a copy
         # missing one member reached by a move is rejected
         verify._classes.cache_clear()
-        verify._coded.cache_clear()
         n = 9
         spider = Tree(n, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (0, 8)])
         cert = certify_reachability(spider, delta_sequence(chain(n)))
@@ -660,26 +689,27 @@ class TestMajorizationReachability:
         with pytest.raises(BoundExceeded):
             verify_majorization_reachability(REACHABILITY_MAX_NODES + 1)
 
+    @pytest.mark.parametrize("n", [True, False, 13.0, "8", None])
+    def test_non_int_node_count(self, n):
+        # checked before the size and the bound: a bool is not a node count
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            verify_majorization_reachability(n)
+
     @pytest.mark.parametrize("n, classes", [(10, 106), (12, 551)])
     def test_a_pass_after_a_cold_search_codes_no_class_twice(self, n, classes, monkeypatch):
-        # the chain -> star search stores every class it expands, moves
-        # coded, and the pass reads them from the store: it codes the
-        # enumeration's one canonical code per class, and the moves of each
-        # class the search did not store, on its representative
+        # the chain -> star search codes nothing and leaves the memo cold,
+        # so the pass codes as it does on a cold memo: the enumeration's one
+        # canonical code per class, and each move of each representative
         verify._classes.cache_clear()
-        verify._coded.cache_clear()
         calls = []
         real = trees._peel_code
         monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
         find_move_trace(chain(n), delta_sequence(star(n)))
-        stored = set(verify._coded(n))
-        calls.clear()
+        assert calls == []
         assert verify_majorization_reachability(n) == (True, [])
         reps = verify._classes(n)[0]
         assert len(reps) == classes
-        assert len(calls) == classes + sum(
-            len(legal_moves(t)) for code, t in reps.items() if code not in stored
-        )
+        assert len(calls) == classes + sum(len(legal_moves(t)) for t in reps.values())
 
     def test_failure_certificates_when_a_move_is_missing(self, patched_successors):
         # drop the move from the 5,2,1,... class to the star, its one
@@ -781,7 +811,7 @@ class TestMajorizationReachability:
     def test_a_cold_query_codes_only_its_closure(self, patched_successors):
         # coding is counted as _peel_code calls once the memo's enumeration
         # has coded each class: a closure codes its source and the moves of
-        # each class it stores, and stores only the classes it reaches
+        # each class it reaches, on its representative, and nothing else
         calls = []
         real = trees._peel_code
         patched_successors.setattr(
@@ -794,11 +824,11 @@ class TestMajorizationReachability:
         cert = certify_reachability(source, target)
         assert len(calls) == 1  # the star's own code; it has no moves
         assert cert.closure == (star(n),)
-        assert list(verify._coded(n)) == [canonical_code(source)]
         verify._classes(11)
         calls.clear()
-        assert len(reachability_closure(chain(11))) == len(verify._coded(11)) == 235
-        assert len(calls) == 1 + sum(len(legal_moves(t)) for t in verify._coded(11).values())
+        closure = reachability_closure(chain(11))
+        assert len(closure) == 235
+        assert len(calls) == 1 + sum(len(legal_moves(t)) for t in closure)
 
 
 class TestUnreachablePair:
@@ -815,6 +845,14 @@ class TestUnreachablePair:
         trace = find_move_trace(t, s_prime)
         assert trace is not None
         assert delta_sequence(trace.final) == s_prime
+
+    @pytest.mark.parametrize("n", [True, 13.0, "8", None])
+    def test_non_int_node_count(self, n):
+        # checked before the bound and the sequences
+        s = DeltaSequence([4, 2, 2, 2, 1, 1, 1, 1])
+        s_prime = DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1])
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            find_unreachable_pair(n, s, s_prime)
 
     def test_equal_sequences_trivially_absent(self):
         s = DeltaSequence([3, 2, 1, 1, 1])
@@ -1023,6 +1061,18 @@ class TestGraphSampling:
             assert not (
                 len(g.edges) == 6 and max(g.degree(v) for v in range(7)) <= 2
             )
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 1.5, 5.0, "5", None])
+    def test_non_int_node_count_rejected(self, n):
+        # checked before the size, so a bool or a float below 3 is rejected,
+        # not answered with an empty suite
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            standard_graph_suite(n)
+
+    @pytest.mark.parametrize("n", [True, False, 4.0, "5", None])
+    def test_sampler_rejects_a_non_int_node_count(self, n):
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            random_connected_graph(n, random.Random(0))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
