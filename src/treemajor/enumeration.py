@@ -193,8 +193,13 @@ def require_census_bound(n: int) -> None:
 
 
 def require_tree_sequence(n: int, s: DeltaSequence) -> None:
-    """Raise LengthMismatch unless ``s`` has ``n`` values, and
+    """Raise TypeError unless ``n`` is an int (a bool is not) and ``s`` a
+    DeltaSequence, then LengthMismatch unless ``s`` has ``n`` values, and
     NotTreeFeasible unless some tree on ``n`` nodes has it."""
+    if type(n) is not int:
+        raise TypeError(f"node count must be an int, got {n!r}")
+    if not isinstance(s, DeltaSequence):
+        raise TypeError(f"sequence must be a DeltaSequence, got {s!r}")
     if len(s) != n:
         raise LengthMismatch(f"sequence has length {len(s)}, expected {n}")
     if not s.tree_feasible:
@@ -202,6 +207,7 @@ def require_tree_sequence(n: int, s: DeltaSequence) -> None:
 
 
 def trees_with_delta(n: int, s: DeltaSequence) -> list[Tree]:
-    """The isomorphism classes on ``n`` nodes whose degree sequence is ``s``."""
+    """The isomorphism classes on ``n`` nodes whose degree sequence is ``s``;
+    raises as :func:`require_tree_sequence` does."""
     require_tree_sequence(n, s)
     return [t for t in enumerate_trees(n) if delta_sequence(t) == s]

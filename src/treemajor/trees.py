@@ -222,8 +222,11 @@ def _branch_sides(
 def branches_at(t: Tree, m: int) -> list[Branch]:
     """All deg(m) branches rooted at ``m``, in ascending gateway order.
 
-    Their member sets partition the nodes other than ``m``.
+    Their member sets partition the nodes other than ``m``, which must be
+    an int label (TypeError otherwise; a bool is not one).
     """
+    if type(m) is not int:
+        raise TypeError(f"node must be an int, got {m!r}")
     if not (0 <= m < t.n):
         raise ValueError(f"node {m} outside labels 0..{t.n - 1}")
     members: dict[int, list[int]] = {c: [] for c in t.neighbors(m)}
@@ -330,6 +333,42 @@ def legal_moves(t: Tree) -> list[tuple[int, int, int]]:
         for gw in adj[donor]:
             moves.extend((donor, gw, target) for target in targets if side[target] != gw)
     return moves
+
+
+def pair_moves(t: Tree) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """(donor degree d, target degree e) -> the first of :func:`legal_moves`
+    with those degrees, for each pair that has one, in legal_moves order;
+    the other moves are never listed.  The donor is the smallest node of
+    degree d: a node of degree e >= d other than it lies in only one of its
+    d >= 2 branches, so it always has the move.  One branch search from it
+    gives, for each e, the smallest node of degree e outside its first
+    gateway's branch; when every such node lies inside, the second gateway
+    and the smallest such node make the move."""
+    adj = t._adj
+    by_degree: dict[int, list[int]] = {}
+    for v, ws in enumerate(adj):
+        by_degree.setdefault(len(ws), []).append(v)
+    found = []
+    for d, donors in by_degree.items():
+        if d < 2:
+            continue
+        donor = donors[0]
+        side = _branch_sides(adj, donor)
+        first, second = adj[donor][:2]
+        side[donor] = first  # so the donor is never a target
+        for e, nodes in by_degree.items():
+            if e < d:
+                continue
+            for w in nodes:
+                if side[w] != first:
+                    found.append(((donor, first, w), (d, e)))
+                    break
+            else:
+                targets = nodes[1:] if e == d else nodes
+                if targets:
+                    found.append(((donor, second, targets[0]), (d, e)))
+    found.sort()
+    return {pair: move for move, pair in found}
 
 
 def move_code_map(t: Tree) -> dict[tuple[int, int, int], CanonicalCode]:

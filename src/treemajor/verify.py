@@ -9,7 +9,9 @@ tree's move map, cached on the tree.  The memo is a plain cache: only the
 theorem pass checks that each move raises the degree sequence, and
 closure walks trust the moves.  The move-trace search needs no classes: a
 tree's successor degree sequences follow from its own, so it searches
-over sorted degree sequences, codes nothing and never reads the memo.
+over sorted degree sequences, codes nothing and never reads the memo; it
+expands a tree by one move per (donor degree, target degree) pair, read
+directly from the tree, never by listing all its moves.
 Certificates carry either a concrete move trace (positive evidence) or
 the full closed reachable set (negative evidence); :func:`check_certificate`
 re-verifies either kind from the trees it holds, never from the memo.
@@ -44,16 +46,15 @@ from .trees import (
     Graph,
     Tree,
     apply_moves,
-    branches_at,
     canonical_code,
     chain,
     complete_graph,
     cycle_graph,
     delta_sequence,
     freeze,
-    legal_moves,
     move_branch,
     move_code_map,
+    pair_moves,
 )
 
 __all__ = [
@@ -86,7 +87,9 @@ __all__ = [
 #: 0.003-0.005 s to check (0.19-0.25 s with fresh copies of its members); at
 #: n=13 the theorem pass took 0.51-0.87 s, too close to the budget.  The
 #: move-trace search codes no class, and keeps the bound only so that what
-#: raises BoundExceeded does not change.
+#: raises BoundExceeded does not change: with it lifted, 30 searches from
+#: uniform Prufer trees to their middle strictly dominating census target
+#: took 3.3-4.1 ms in all at n=12, 21-24 ms at n=16 and 87-97 ms at n=20.
 REACHABILITY_MAX_NODES = 12
 DEFAULT_SEED = 1905
 #: At most this many random extra edges join each sampled graph's tree.
@@ -213,22 +216,6 @@ def _moved(have: Sequence[int], d: int, e: int) -> list[int]:
     return moved
 
 
-def _landing_move(t: Tree, d: int, e: int) -> tuple[int, int, int]:
-    """The first of :func:`legal_moves` of ``t`` from a donor of degree d to
-    a target of degree e >= d >= 2, read directly: the smallest donor of
-    degree d, its smallest gateway whose branch leaves a node of degree e
-    outside it, and the smallest such node.  The smallest donor always has
-    one: a node of degree e lies in only one of its d >= 2 branches."""
-    deg = [t.degree(v) for v in range(t.n)]
-    donor = deg.index(d)
-    return next(
-        (donor, branch.gateway, w)
-        for branch in branches_at(t, donor)
-        for w in range(t.n)
-        if deg[w] == e and w != donor and w not in branch.members
-    )
-
-
 def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     """Shortest concrete move sequence from ``t`` to any tree whose degree
     sequence is ``target_delta``, or None if no class with that sequence is
@@ -245,7 +232,9 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     its own sequence (:func:`_moved`), and distinct (d, e) pairs give
     distinct successors.  Each sequence is expanded once, on the tree it was
     first discovered as: the first move of each distinct (d, e) pair, in
-    legal_moves order, discovers that pair's successor unless it is known.
+    legal_moves order and read directly from the tree (:func:`pair_moves`,
+    which lists no other move), discovers that pair's successor unless it
+    is known.
     The trace is the one a breadth-first search over classes finds.  That
     search discovers each new sequence by the first move of its pair from
     the first queued class of the parent sequence, and a later class whose
@@ -260,12 +249,12 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     expand-then-test search would land from, with the same parent.  Each
     discovered sequence is tested, except when its parent differs from the
     target at more than four ranks, since a move changes two.  The end tree
-    is built from its parent's; its first landing move in legal_moves order
-    is read directly (:func:`_landing_move`).  A concrete tree is built, by
-    :func:`move_branch` from its parent's, only for a sequence the search
-    expands or ends on.  Raises BoundExceeded above REACHABILITY_MAX_NODES,
-    and LengthMismatch or NotTreeFeasible for a target that is not a tree
-    sequence on ``t.n``.
+    is built from its parent's, and its landing move is its pair's entry in
+    the same map.  A concrete tree is built, by :func:`move_branch` from its
+    parent's, only for a sequence the search expands or ends on.  Raises
+    BoundExceeded above REACHABILITY_MAX_NODES, TypeError for a target that
+    is not a DeltaSequence, and LengthMismatch or NotTreeFeasible for one
+    that is not a tree sequence on ``t.n``.
     """
     _require_reachability_bound(t.n)
     require_tree_sequence(t.n, target_delta)
@@ -290,12 +279,7 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
             entry[0] = move_branch(info[entry[1]][0], *entry[2])
         tree = entry[0]
         near = sum(h != g for h, g in zip(have, goal)) <= 4
-        pairs = set()
-        for mv in legal_moves(tree):
-            pair = tree.degree(mv[0]), tree.degree(mv[2])
-            if pair in pairs:
-                continue
-            pairs.add(pair)
+        for pair, mv in pair_moves(tree).items():
             nxt = tuple(_moved(have, *pair))
             if nxt in info:
                 continue
@@ -308,7 +292,7 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
             queue.append(nxt)
     if hit is None:
         return None
-    last = _landing_move(end_tree, *hit)
+    last = pair_moves(end_tree)[hit]
     path = [last]
     while end != start:
         _, end, step = info[end]

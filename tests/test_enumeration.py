@@ -346,6 +346,17 @@ class TestTreesWithDelta:
         with pytest.raises(LengthMismatch):
             trees_with_delta(5, DeltaSequence([2, 2, 1, 1]))
 
+    @pytest.mark.parametrize("n", [True, False, 4.0, "4", None])
+    def test_non_int_node_count(self, n):
+        # checked before the sequence: "4" has the length of a 4-node one
+        with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
+            trees_with_delta(n, DeltaSequence([2, 2, 1, 1]))
+
+    @pytest.mark.parametrize("s", [(2, 2, 1, 1), [2, 2, 1, 1], None])
+    def test_non_sequence_rejected(self, s):
+        with pytest.raises(TypeError, match="^sequence must be a DeltaSequence, got "):
+            trees_with_delta(4, s)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_classes_partition_by_delta(self, n):
         total = sum(len(trees_with_delta(n, s)) for s in delta_census(n))

@@ -4,8 +4,9 @@ each of their output forms.  Two more digests pin a plan replay from a
 random tree, which the chain-sourced realizations never exercise, and the
 canonical code of every successor that the exhaustive search reads.  The
 reachability answers are pinned by every certificate for every class and
-census target, by certificates from relabelled sources with the memo
-cold and warm, and by the theorem pass and unreachable pairs; one
+census target, by every move trace from each class and a relabelled copy
+of it, by certificates from relabelled sources with the memo cold and
+warm, and by the theorem pass and unreachable pairs; one
 more digest pins the sampled graph suite.
 
 A change that keeps behaviour must leave these digests alone; a change
@@ -27,6 +28,7 @@ from treemajor import (
     delta_census,
     delta_sequence,
     enumerate_trees,
+    find_move_trace,
     find_unreachable_pair,
     plan_transfers,
     replay_plan_on_tree,
@@ -186,6 +188,30 @@ def test_certificates_match_digest():
     assert (
         digest.hexdigest()
         == "12952fe41be19e3bac7bfa447567397f4728e2feb3813ee69b120a579870fe5c"
+    )
+
+
+def test_move_traces_match_digest():
+    # the repr of find_move_trace from every class and a seeded relabelled
+    # copy of it, whose moves come in another order, to every census
+    # target, n = 2..9
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 10):
+        rng = random.Random(n)
+        census = delta_census(n)
+        for rep in enumerate_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = Tree(n, [(perm[u], perm[v]) for u, v in rep.sorted_edges()])
+            for t in (rep, relabelled):
+                for target in census:
+                    digest.update((repr(find_move_trace(t, target)) + "\n").encode())
+                    count += 1
+    assert count == 2160
+    assert (
+        digest.hexdigest()
+        == "a9686b662dee99a6c7b6043e6b70f6f6b6b15b858acb81b1d24a740c575af265"
     )
 
 

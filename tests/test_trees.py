@@ -44,6 +44,7 @@ from treemajor.trees import (
     freeze,
     move_code_map,
     neighbor_toward,
+    pair_moves,
 )
 from oracles import (
     branch_members_reference,
@@ -317,6 +318,12 @@ class TestBranches:
         (b,) = branches_at(t, 0)
         assert b.members == frozenset({1, 2, 3})
 
+    @pytest.mark.parametrize("m", [True, False, 1.0, "1", None])
+    def test_non_int_node_rejected(self, m):
+        # as move_branch rejects it: a bool is not a node label
+        with pytest.raises(TypeError, match=f"^node must be an int, got {m!r}$"):
+            branches_at(chain(4), m)
+
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_partition_property(self, n):
         for t in enumerate_trees(n):
@@ -575,6 +582,42 @@ class TestLegalMovesAgainstReference:
             for (mv, code), want_mv in zip(pairs, legal_moves(t), strict=True):
                 assert mv == want_mv
                 assert code == _canonical_code_reference(move_branch(t, *want_mv))
+
+
+def _first_move_per_pair(t: Tree) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Oracle for pair_moves: legal_moves reduced to the first move of each
+    (donor degree, target degree) pair, in legal_moves' order."""
+    first = {}
+    for mv in legal_moves(t):
+        first.setdefault((t.degree(mv[0]), t.degree(mv[2])), mv)
+    return first
+
+
+class TestPairMoves:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_class(self, n):
+        # order included: each class and a seeded relabelled copy of it
+        rng = random.Random(n)
+        for t in enumerate_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for u in (t, relabel(t, dict(enumerate(perm)))):
+                assert list(pair_moves(u).items()) == list(_first_move_per_pair(u).items())
+
+    def test_seeded_prufer_trees(self):
+        # uniform and hub-heavy trees up to n = 300, where the smallest
+        # donor's first gateway often holds every node of some degree
+        for t in _seeded_prufer_trees(40, 300, seed=29):
+            assert list(pair_moves(t).items()) == list(_first_move_per_pair(t).items())
+
+    def test_second_gateway(self):
+        # the donor 0's first branch, through 1, holds both other nodes of
+        # degree 3, so its (3, 3) move goes through its second gateway, 5;
+        # with 0 and 1 swapped, node 3 lies outside that branch
+        t = Tree(8, [(0, 1), (0, 5), (0, 6), (1, 2), (1, 3), (3, 4), (3, 7)])
+        assert pair_moves(t) == {(3, 3): (0, 5, 1)}
+        u = relabel(t, {0: 1, 1: 0, **{v: v for v in range(2, 8)}})
+        assert pair_moves(u) == {(3, 3): (0, 1, 3)}
 
 
 class TestSuccessorCodes:

@@ -364,10 +364,11 @@ class TestMoveTraces:
     def test_a_class_one_move_short_ends_the_search(self, n, monkeypatch):
         # the search ends on discovering a class with a landing move, so a
         # target one move away expands nothing and one two moves away
-        # expands the source alone; each expansion lists the tree's moves
+        # expands the source alone; each expansion reads the tree's moves,
+        # one per degree pair, and so does the last call, the landing read
         calls = []
-        real = verify.legal_moves
-        monkeypatch.setattr(verify, "legal_moves", lambda t: calls.append(1) or real(t))
+        real = verify.pair_moves
+        monkeypatch.setattr(verify, "pair_moves", lambda t: calls.append(1) or real(t))
         census = delta_census(n)
         lengths = set()
         for t in enumerate_trees(n):
@@ -376,7 +377,8 @@ class TestMoveTraces:
                 trace = find_move_trace(t, target)
                 if trace is not None and len(trace.moves) in (1, 2):
                     lengths.add(len(trace.moves))
-                    assert len(calls) == len(trace.moves) - 1, (t, target)
+                    expansions = len(calls) - 1
+                    assert expansions == len(trace.moves) - 1, (t, target)
         if n >= 5:  # the chain is two moves from the star from n = 5 on
             assert lengths == {1, 2}
 
@@ -384,11 +386,12 @@ class TestMoveTraces:
     def test_a_cold_search_stores_the_classes_it_expands(self, n, monkeypatch):
         # the search keeps no class store: it expands at most one tree per
         # degree sequence, and the end tree, one landing move short, is
-        # built but its sequence is never expanded
-        expanded = []
-        real = verify.legal_moves
+        # built and read once, by the last call, for its landing move; its
+        # sequence is never expanded
+        read = []
+        real = verify.pair_moves
         monkeypatch.setattr(
-            verify, "legal_moves", lambda t: expanded.append(delta_sequence(t)) or real(t)
+            verify, "pair_moves", lambda t: read.append(delta_sequence(t)) or real(t)
         )
         census = delta_census(n)
         deep = 0  # searches that expand more than the source
@@ -397,11 +400,13 @@ class TestMoveTraces:
             for target in census:
                 if compare(base, target) is not ComparisonResult.STRICTLY_BELOW:
                     continue
-                expanded.clear()
+                read.clear()
                 trace = find_move_trace(t, target)
+                *expanded, landing = read
                 assert len(set(expanded)) == len(expanded), (t, target)
                 end = apply_moves(t, trace.moves[:-1])
-                assert delta_sequence(end) not in expanded
+                assert delta_sequence(end) == landing
+                assert landing not in expanded
                 deep += len(trace.moves) > 2
         assert deep > 0
 
@@ -428,7 +433,7 @@ class TestMoveTraces:
         def no_search(t):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(verify, "legal_moves", no_search)
+        monkeypatch.setattr(verify, "pair_moves", no_search)
         n = 8
         census = delta_census(n)
         for t in enumerate_trees(n):
@@ -664,6 +669,15 @@ class TestCertificates:
             closure=reachability_closure(t),
         )
         assert not check_certificate(forged)
+
+    @pytest.mark.parametrize("target", [(4, 1, 1, 1, 1), [4, 1, 1, 1, 1], "41111"])
+    def test_target_not_a_delta_sequence(self, target):
+        # a plain tuple or list of the right degrees is not coerced
+        pattern = "^sequence must be a DeltaSequence, got "
+        with pytest.raises(TypeError, match=pattern):
+            find_move_trace(chain(5), target)
+        with pytest.raises(TypeError, match=pattern):
+            certify_reachability(chain(5), target)
 
     def test_exactly_one_side_required(self):
         with pytest.raises(ValueError):
