@@ -16,8 +16,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Sequence
 
-from .errors import BoundExceeded, LengthMismatch, NotTreeFeasible
-from .sequences import DeltaSequence
+from .errors import BoundExceeded, LengthMismatch, NotTreeFeasible, require_int
+from .sequences import DeltaSequence, require_delta_sequence
 from .trees import Tree, canonical_code, delta_sequence, freeze
 
 __all__ = [
@@ -113,8 +113,7 @@ def enumerate_trees(n: int) -> list[Tree]:
     canonical code and therefore stable.  Raises TypeError unless ``n`` is
     an int (a bool is not) and BoundExceeded above :data:`MAX_NODES`.
     """
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
+    require_int(n, "node count")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_NODES:
@@ -176,8 +175,7 @@ def delta_census(n: int) -> list[DeltaSequence]:
     partition of 2(n-1) into n positive parts, in descending lexicographic
     order (star first, chain last).  Raises BoundExceeded above
     :data:`CENSUS_MAX_NODES`, TypeError unless ``n`` is an int."""
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
+    require_int(n, "node count")
     if n < 2:
         raise ValueError(f"census needs n >= 2, got {n}")
     require_census_bound(n)
@@ -196,10 +194,8 @@ def require_tree_sequence(n: int, s: DeltaSequence) -> None:
     """Raise TypeError unless ``n`` is an int (a bool is not) and ``s`` a
     DeltaSequence, then LengthMismatch unless ``s`` has ``n`` values, and
     NotTreeFeasible unless some tree on ``n`` nodes has it."""
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
-    if not isinstance(s, DeltaSequence):
-        raise TypeError(f"sequence must be a DeltaSequence, got {s!r}")
+    require_int(n, "node count")
+    require_delta_sequence(s)
     if len(s) != n:
         raise LengthMismatch(f"sequence has length {len(s)}, expected {n}")
     if not s.tree_feasible:

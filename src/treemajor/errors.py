@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all treemajor modules, and the shape checks
-that the dict readers (trees, traces, plans) share."""
+"""Exception hierarchy shared by all treemajor modules, and the argument
+and shape checks that several modules share."""
 
 __all__ = [
     "TreeMajorError",
@@ -73,6 +73,12 @@ class NotConnected(TreeMajorError):
 
 class BoundExceeded(TreeMajorError):
     """A node count beyond the supported bound of an exhaustive operation."""
+
+
+def require_int(value, what: str) -> None:
+    """TypeError naming ``what`` unless ``value`` is an int (a bool is not)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
 
 
 def dict_fields(data, what: str, *names: str) -> tuple:

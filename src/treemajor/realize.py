@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import dict_fields, list_of
-from .sequences import DeltaSequence, validate_tree_sequence
+from .sequences import DeltaSequence, require_delta_sequence, validate_tree_sequence
 from .transfers import TransferPlan, plan_transfers
 from .trees import (
     Tree,
@@ -56,9 +56,11 @@ def realize_from_chain(target: DeltaSequence) -> MoveTrace:
 
     The chain's degree sequence is dominated by every feasible sequence, so
     a transfer plan always exists; each planned transfer is realized by one
-    degree-rule branch move.  Raises NotTreeFeasible for infeasible targets.
+    degree-rule branch move.  Raises TypeError unless ``target`` is a
+    DeltaSequence and NotTreeFeasible for infeasible targets.
     """
-    seq = validate_tree_sequence(target.values)
+    require_delta_sequence(target)
+    seq = validate_tree_sequence(target)
     start = chain(seq.n)
     plan = plan_transfers(delta_sequence(start), seq)
     return replay_plan_on_tree(start, plan)
@@ -71,10 +73,11 @@ def realize_direct(target: DeltaSequence) -> Tree:
     leaves, labelled k, k+1, ... in spine order, are attached to spine
     nodes until each reaches its prescribed degree.  The neighbour lists
     ascend as built (spine node i holds i-1, then i+1, then its leaves), so
-    the caterpillar is frozen, not re-validated.  Raises NotTreeFeasible
-    for infeasible targets.
+    the caterpillar is frozen, not re-validated.  Raises TypeError unless
+    ``target`` is a DeltaSequence and NotTreeFeasible for infeasible targets.
     """
-    seq = validate_tree_sequence(target.values)
+    require_delta_sequence(target)
+    seq = validate_tree_sequence(target)
     spine = [v for v in seq.values if v >= 2]
     k = len(spine)
     if k == 0:

@@ -11,6 +11,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import LengthMismatch, NonPositiveDegree, NotTreeFeasible, ParseError
@@ -127,14 +128,22 @@ class LorenzCurve:
     normalized: bool
 
 
+def require_delta_sequence(*seqs: object) -> None:
+    """TypeError unless each argument is a DeltaSequence (never coerced)."""
+    for s in seqs:
+        if not isinstance(s, DeltaSequence):
+            raise TypeError(f"sequence must be a DeltaSequence, got {s!r}")
+
+
 def validate_tree_sequence(raw: Iterable[int]) -> DeltaSequence:
-    """Sort ``raw`` descending and require it to be realizable by a tree.
+    """Sort ``raw`` descending, unless it is a DeltaSequence already, and
+    require it to be realizable by a tree.
 
     Raises NonPositiveDegree for any value <= 0 and NotTreeFeasible when the
     (positive) values do not sum to 2(n-1).  The two failures are
     distinguishable by exception type.
     """
-    seq = DeltaSequence(raw)
+    seq = raw if isinstance(raw, DeltaSequence) else DeltaSequence(raw)
     if not seq.tree_feasible:
         raise NotTreeFeasible(
             f"degree total {seq.total} != 2(n-1) = {2 * (seq.n - 1)} for {seq}"
@@ -144,12 +153,7 @@ def validate_tree_sequence(raw: Iterable[int]) -> DeltaSequence:
 
 def prefix_sums(s: DeltaSequence) -> tuple[int, ...]:
     """Cumulative sums of the sorted values; the last entry is the total."""
-    out = []
-    acc = 0
-    for v in s.values:
-        acc += v
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(s.values))
 
 
 def compare(x: DeltaSequence, y: DeltaSequence) -> ComparisonResult:
@@ -158,16 +162,18 @@ def compare(x: DeltaSequence, y: DeltaSequence) -> ComparisonResult:
     ``STRICTLY_BELOW`` means every prefix sum of ``x`` is <= the matching
     prefix sum of ``y`` with at least one strict inequality; totals need not
     agree (the generalized order).  With equal totals this coincides with
-    Lorenz-curve dominance.
+    Lorenz-curve dominance.  Raises TypeError unless both are DeltaSequences.
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"cannot compare lengths {len(x)} and {len(y)}")
-    if x.values == y.values:
+    require_delta_sequence(x, y)
+    xv, yv = x.values, y.values
+    if len(xv) != len(yv):
+        raise LengthMismatch(f"cannot compare lengths {len(xv)} and {len(yv)}")
+    if xv == yv:
         return ComparisonResult.EQUAL
-    px, py = prefix_sums(x), prefix_sums(y)
-    if all(a <= b for a, b in zip(px, py)):
+    gaps = [a - b for a, b in zip(accumulate(xv), accumulate(yv))]
+    if max(gaps) <= 0:
         return ComparisonResult.STRICTLY_BELOW
-    if all(a >= b for a, b in zip(px, py)):
+    if min(gaps) >= 0:
         return ComparisonResult.STRICTLY_ABOVE
     return ComparisonResult.INCOMPARABLE
 

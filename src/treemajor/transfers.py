@@ -25,7 +25,7 @@ from .errors import (
     dict_fields,
     list_of,
 )
-from .sequences import ComparisonResult, DeltaSequence, compare
+from .sequences import ComparisonResult, DeltaSequence, compare, require_delta_sequence
 
 __all__ = [
     "TransferStep",
@@ -139,10 +139,11 @@ def plan_transfers(source: DeltaSequence, target: DeltaSequence) -> TransferPlan
     :func:`~treemajor.realize.replay_plan_on_tree` moves branches without
     walking the plan again; :func:`replay` still checks every step.
 
-    Equal sequences yield an empty plan.  Raises NotMajorized when the
-    target does not dominate the source (including unequal totals, which no
-    amount of transferring can fix).
+    Equal sequences yield an empty plan.  Raises TypeError unless both are
+    DeltaSequences and NotMajorized when the target does not dominate the
+    source (including unequal totals, which no transfers can fix).
     """
+    require_delta_sequence(source, target)
     if len(source) != len(target):
         raise LengthMismatch(
             f"cannot plan between lengths {len(source)} and {len(target)}"

@@ -21,6 +21,7 @@ from .errors import (
     WouldDisconnect,
     dict_fields,
     list_of,
+    require_int,
 )
 from .sequences import DeltaSequence
 
@@ -94,8 +95,7 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if type(n) is not int:
-            raise TypeError(f"node count must be an int, got {n!r}")
+        require_int(n, "node count")
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
         adj, m = _adjacency(n, edges)
@@ -131,16 +131,16 @@ class Tree(Graph):
     """A labeled free tree on nodes 0..n-1: a connected graph with exactly
     n-1 edges.
 
-    Trees compare by value.  The canonical code and the move -> code map
-    are each computed once on demand and cached.
+    Trees compare by value.  The canonical code and the set of successor
+    codes are each computed once on demand and cached.
     """
 
-    __slots__ = ("_code", "_moves")
+    __slots__ = ("_code", "_successors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
         self._code: CanonicalCode | None = None
-        self._moves: dict[tuple[int, int, int], CanonicalCode] | None = None
+        self._successors: frozenset[CanonicalCode] | None = None
 
     def _check_edge_count(self, n: int, m: int) -> None:
         if m != n - 1:
@@ -170,8 +170,7 @@ class Branch:
 
 
 def _require_node_count(n: int, shape: str, least: int = 2) -> None:
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
+    require_int(n, "node count")
     if n < least:
         raise ValueError(f"{shape} needs n >= {least}, got {n}")
 
@@ -225,8 +224,7 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
     Their member sets partition the nodes other than ``m``, which must be
     an int label (TypeError otherwise; a bool is not one).
     """
-    if type(m) is not int:
-        raise TypeError(f"node must be an int, got {m!r}")
+    require_int(m, "node")
     if not (0 <= m < t.n):
         raise ValueError(f"node {m} outside labels 0..{t.n - 1}")
     members: dict[int, list[int]] = {c: [] for c in t.neighbors(m)}
@@ -247,7 +245,7 @@ def freeze(nbrs: Sequence[Sequence[int]], kind: type[Graph] = Tree) -> Graph:
     g.n = len(nbrs)
     g._adj = tuple(map(tuple, nbrs))
     if kind is Tree:
-        g._code = g._moves = None
+        g._code = g._successors = None
     return g
 
 
@@ -371,26 +369,25 @@ def pair_moves(t: Tree) -> dict[tuple[int, int], tuple[int, int, int]]:
     return {pair: move for move, pair in found}
 
 
-def move_code_map(t: Tree) -> dict[tuple[int, int, int], CanonicalCode]:
-    """Move -> canonical code of the moved tree for each of
-    :func:`legal_moves`, in its order; computed once and cached like the
-    canonical code.  Its values are the classes one degree-rule move away.
-    Each move is made on one working adjacency and degree list, coded and
-    undone, with no tree built."""
-    if t._moves is None:
+def successor_codes(t: Tree) -> frozenset[CanonicalCode]:
+    """The canonical codes of the classes one degree-rule move from ``t``,
+    computed once and cached like the canonical code.  Each of
+    :func:`legal_moves` is made on one working adjacency and degree list,
+    coded and undone, with no tree built."""
+    if t._successors is None:
         nbrs = [set(ws) for ws in t._adj]
         deg = [len(ws) for ws in t._adj]
-        moves = {}
+        codes = set()
         for donor, gw, target in legal_moves(t):
             move_edge(nbrs, donor, gw, target)
             deg[donor] -= 1
             deg[target] += 1
-            moves[donor, gw, target] = _peel_code(nbrs, deg[:])
+            codes.add(_peel_code(nbrs, deg[:]))
             move_edge(nbrs, target, gw, donor)
             deg[donor] += 1
             deg[target] -= 1
-        t._moves = moves
-    return t._moves
+        t._successors = frozenset(codes)
+    return t._successors
 
 
 def _peel_code(adj: Sequence[Iterable[int]], deg: list[int]) -> CanonicalCode:

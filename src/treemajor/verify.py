@@ -4,9 +4,9 @@ machine-checkable certificates.
 Everything here works over isomorphism classes: reachability under
 degree-rule branch moves is invariant under relabeling, so the state space
 is the set of tree classes.  The reachability memo of each size holds
-one representative per class and reads a class's successors from that
-tree's move map, cached on the tree.  The memo is a plain cache: only the
-theorem pass checks that each move raises the degree sequence, and
+one representative per class; a class's successors are the set of codes
+one move from that tree, cached on the tree.  The memo is a plain cache: only
+the theorem pass checks that each move raises the degree sequence, and
 closure walks trust the moves.  The move-trace search needs no classes: a
 tree's successor degree sequences follow from its own, so it searches
 over sorted degree sequences, codes nothing and never reads the memo; it
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BoundExceeded, NotMajorized, TreeMajorError
+from .errors import BoundExceeded, NotMajorized, TreeMajorError, require_int
 from .realize import MoveTrace
 from .transfers import transfer_in_place
 from .sequences import (
@@ -34,6 +34,7 @@ from .sequences import (
     DeltaSequence,
     compare,
     convex_functional,
+    require_delta_sequence,
 )
 from .enumeration import (
     delta_census,
@@ -53,8 +54,8 @@ from .trees import (
     delta_sequence,
     freeze,
     move_branch,
-    move_code_map,
     pair_moves,
+    successor_codes,
 )
 
 __all__ = [
@@ -117,7 +118,8 @@ class ReachabilityCertificate:
     Exactly one of ``trace`` (a replayable move sequence ending in the
     target degree sequence) or ``closure`` (every class reachable from the
     source, closed under all degree-rule moves, none matching the target)
-    is present.
+    is present.  Either kind raises TypeError unless ``source`` is a Tree
+    and ``target_delta`` a DeltaSequence.
     """
 
     source: Tree
@@ -126,6 +128,9 @@ class ReachabilityCertificate:
     closure: tuple[Tree, ...] | None
 
     def __post_init__(self):
+        if not isinstance(self.source, Tree):
+            raise TypeError(f"source must be a Tree, got {self.source!r}")
+        require_delta_sequence(self.target_delta)
         if (self.trace is None) == (self.closure is None):
             raise ValueError("exactly one of trace or closure must be present")
 
@@ -157,14 +162,6 @@ def _classes(n: int):
     return reps, deltas
 
 
-def _successors(n: int, code: CanonicalCode):
-    """Successor codes of one class, one per move and so with repeats: the
-    values of its representative's move map, coded once and cached on the
-    tree.  Nothing is checked here: the theorem pass owns the forward
-    check."""
-    return move_code_map(_classes(n)[0][code]).values()
-
-
 def _require_reachability_bound(n: int) -> None:
     if n > REACHABILITY_MAX_NODES:
         raise BoundExceeded(
@@ -177,13 +174,11 @@ def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
     own) by any number of degree-rule branch moves: one breadth-first walk
     over the memo of size ``t.n``, a level at a time, so each level's
     repeated successors are merged by set operations."""
+    reps = _classes(t.n)[0]
     new = {canonical_code(t)}
     seen = set(new)
     while new:
-        reached = set()
-        for code in new:
-            reached.update(_successors(t.n, code))
-        new = reached - seen
+        new = set().union(*(successor_codes(reps[code]) for code in new)) - seen
         seen |= new
     return frozenset(seen)
 
@@ -317,20 +312,21 @@ def certify_reachability(
 
 
 def closure_is_closed(trees: tuple[Tree, ...]) -> bool:
-    """True iff every degree-rule move from every member lands back in the
-    set (up to isomorphism).  A tree's move map is cached on it like its
-    canonical code: those a walk coded are reused, others coded fresh."""
+    """True iff every member's successor codes lie in the set: every
+    degree-rule move lands back in it, up to isomorphism.  The sets a walk
+    cached on its trees are reused, and the others are coded fresh."""
     codes = {canonical_code(t) for t in trees}
-    return all(codes.issuperset(move_code_map(t).values()) for t in trees)
+    return all(codes >= successor_codes(t) for t in trees)
 
 
 def check_certificate(cert: ReachabilityCertificate) -> bool:
     """Re-verify a certificate from the trees it holds, never from the memo;
     True iff it genuinely proves its claim.  A closure is checked by
-    :func:`closure_is_closed`.  A trace that breaks the move rules is
-    rejected, and so is a closure whose target is not a tree sequence on
-    ``source.n`` nodes or that holds a tree of another size; a trace whose
-    labels are not ints raises TypeError."""
+    :func:`closure_is_closed`, against each member's successor codes.  A
+    trace that breaks the move rules is rejected, and so is a closure whose
+    target is not a tree sequence on ``source.n`` nodes or that holds a
+    tree of another size; a trace whose labels are not ints raises
+    TypeError."""
     if cert.trace is not None:
         trace = cert.trace
         if trace.initial != cert.source:
@@ -370,8 +366,7 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     canonical class order then cover order.  Returns (all_ok,
     certificates-for-failures).
     """
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
+    require_int(n, "node count")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     reps, deltas = _classes(n)
@@ -383,7 +378,7 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     failures = []
     for code, t in reps.items():
         a = deltas[code]
-        reached = {deltas[x] for x in _successors(n, code)}
+        reached = {deltas[x] for x in successor_codes(t)}
         for b in reached:
             if (a, b) not in risen and compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
                 raise RuntimeError(
@@ -413,8 +408,7 @@ def find_unreachable_pair(
     Classes are scanned in canonical-code order, so the answer is
     deterministic.
     """
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
+    require_int(n, "node count")
     _require_reachability_bound(n)
     rel = compare(s, s_prime)
     if rel is ComparisonResult.EQUAL:
@@ -514,8 +508,7 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """A uniform random labeled tree (via a random Prufer sequence) plus up
     to ``_MAX_EXTRA_EDGES`` random extra edges; resampled until it is not a
     path."""
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
+    require_int(n, "node count")
     if n < 3:
         raise ValueError(f"no connected non-chain graph exists for n={n}")
     while True:
@@ -545,12 +538,9 @@ def standard_graph_suite(
     where every connected graph is a chain.  An ``n``, ``count`` or ``seed``
     that is not an int (a bool is not) raises TypeError, and a negative
     count ValueError."""
-    if type(n) is not int:
-        raise TypeError(f"node count must be an int, got {n!r}")
-    if type(count) is not int:
-        raise TypeError(f"sample count must be an int, got {count!r}")
-    if type(seed) is not int:
-        raise TypeError(f"seed must be an int, got {seed!r}")
+    require_int(n, "node count")
+    require_int(count, "sample count")
+    require_int(seed, "seed")
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     if n < 3:

@@ -261,15 +261,13 @@ class TestVerify:
         # drop the 5,2,1,... class's one move to the star, its one cover
         hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
         star_code = canonical_code(star(7))
-        real = verify.move_code_map
+        real = verify.successor_codes
 
         def cut(t):
-            moves = real(t)
-            if delta_sequence(t) != hub:
-                return moves
-            return {mv: code for mv, code in moves.items() if code != star_code}
+            codes = real(t)
+            return codes - {star_code} if delta_sequence(t) == hub else codes
 
-        monkeypatch.setattr(verify, "move_code_map", cut)
+        monkeypatch.setattr(verify, "successor_codes", cut)
         verify._classes.cache_clear()  # the memo of n=7 is cached
         try:
             code, out, _ = run(capsys, "verify", "7", "--theorem")

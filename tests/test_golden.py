@@ -2,7 +2,7 @@
 realization commands print exactly the bytes pinned here, by SHA-256, in
 each of their output forms.  Two more digests pin a plan replay from a
 random tree, which the chain-sourced realizations never exercise, and the
-canonical code of every successor that the exhaustive search reads.  The
+successor codes of every class that the closure walks read.  The
 reachability answers are pinned by every certificate for every class and
 census target, by every move trace from each class and a relabelled copy
 of it, by certificates from relabelled sources with the memo cold and
@@ -39,7 +39,7 @@ from treemajor import (
 )
 from treemajor import verify
 from treemajor.cli import main
-from treemajor.trees import move_code_map
+from treemajor.trees import successor_codes
 
 _REACHABLE = (ComparisonResult.EQUAL, ComparisonResult.STRICTLY_BELOW)
 
@@ -156,19 +156,19 @@ def test_replay_from_a_uniform_tree_matches_digest():
 
 
 def test_successor_codes_match_digest():
-    # every (move, code) pair of every class with n <= 11, in move order:
-    # the exhaustive search reads nothing else of a move
+    # the sorted successor codes of every class with n <= 11: the closure
+    # walks and the theorem pass read nothing else of a class's moves
     digest = hashlib.sha256()
     count = 0
     for n in range(1, 12):
         for t in enumerate_trees(n):
-            pairs = list(move_code_map(t).items())
-            count += len(pairs)
-            digest.update((repr(pairs) + "\n").encode())
-    assert count == 7573
+            codes = sorted(successor_codes(t))
+            count += len(codes)
+            digest.update((repr(codes) + "\n").encode())
+    assert count == 3919
     assert (
         digest.hexdigest()
-        == "dda990cd1d1cc8dd5a693af88655b4a8f44520136d472c10ae49dabe112d267e"
+        == "18c7e9898129ed3ce4ea25e992921ea3d90a9306bc187a5f4e5ccefcf6b4dbad"
     )
 
 

@@ -1,7 +1,8 @@
 """Module boundaries inside the package: no module reaches into another
 module's private names or another object's private attributes, every
-definition outside a module's public names is used, and the package exports
-exactly the modules' public names."""
+definition outside a module's public names is used, the int check of an
+argument is written once, and the package exports exactly the modules'
+public names."""
 
 import ast
 import importlib
@@ -99,6 +100,26 @@ def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
     return found
 
 
+INT_MESSAGE = "must be an int, got"
+
+
+def int_message_sites(paths: list[Path]) -> list[tuple[str, str | None]]:
+    """(module, module-level function or class) for each occurrence of the
+    int check's message text; None outside any."""
+    found = []
+    for path in paths:
+        text = path.read_text()
+        spans = [
+            (s.lineno, s.end_lineno, s.name)
+            for s in ast.parse(text).body
+            if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for k, line in enumerate(text.splitlines(), start=1):
+            owner = next((name for a, b, name in spans if a <= k <= b), None)
+            found.extend([(path.stem, owner)] * line.count(INT_MESSAGE))
+    return found
+
+
 def test_package_modules_found():
     assert {"trees", "realize", "enumeration", "verify"} <= {p.stem for p in MODULES}
 
@@ -113,6 +134,11 @@ def test_no_private_imports_across_modules(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_one_int_check():
+    # every count, seed and node argument is checked by errors.require_int
+    assert int_message_sites(MODULES) == [("errors", "require_int")]
 
 
 def test_every_internal_definition_is_read():
@@ -210,6 +236,8 @@ def test_guards_catch_violations(tmp_path):
         "def f(t):\n"
         "    self = t\n"
         "    return t._adj, self._code, t.__class__\n"
+        "def g(n):\n"
+        "    raise TypeError(f'node count must be an int, got {n!r}')\n"
     )
     assert private_imports(bad) == [
         ("realize", "trees", "_adjacency"),
@@ -217,6 +245,7 @@ def test_guards_catch_violations(tmp_path):
     ]
     assert foreign_private_attributes(bad) == [("realize", 5, "_adj")]
     assert unused_imports(bad) == ["_adjacency", "_helper", "chain"]
+    assert int_message_sites([bad]) == [("realize", "g")]
     helpers = tmp_path / "trees.py"
     helpers.write_text(
         "__all__ = ['api']\n"
@@ -232,5 +261,6 @@ def test_guards_catch_violations(tmp_path):
         "    pass\n"
     )
     assert unread_definitions([bad, helpers]) == [
-        ("realize", "f"), ("trees", "_unread"), ("trees", "_recursive"), ("trees", "_Unread")
+        ("realize", "f"), ("realize", "g"),
+        ("trees", "_unread"), ("trees", "_recursive"), ("trees", "_Unread"),
     ]

@@ -149,8 +149,14 @@ class TestRealizeFromChain:
             assert is_isomorphic(trace.final, star(n))
 
     def test_infeasible_rejected(self):
-        with pytest.raises(NotTreeFeasible):
+        with pytest.raises(NotTreeFeasible, match=r"^degree total 4 != 2\(n-1\) = 2 for 3,1$"):
             realize_from_chain(DeltaSequence([3, 1]))
+
+    @pytest.mark.parametrize("target", [(3, 1, 1, 1), [3, 1, 1, 1], "3111"])
+    def test_target_not_a_delta_sequence(self, target):
+        # a plain tuple or list of feasible degrees is not coerced
+        with pytest.raises(TypeError, match="^sequence must be a DeltaSequence, got "):
+            realize_from_chain(target)
 
     def test_final_lands_in_census_class(self):
         target = DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1])
@@ -181,8 +187,14 @@ class TestRealizeDirect:
         assert realize_direct(DeltaSequence([1, 1])) == chain(2)
 
     def test_infeasible_rejected(self):
-        with pytest.raises(NotTreeFeasible):
+        with pytest.raises(NotTreeFeasible, match=r"^degree total 6 != 2\(n-1\) = 4 for 2,2,2$"):
             realize_direct(DeltaSequence([2, 2, 2]))
+
+    @pytest.mark.parametrize("target", [(3, 1, 1, 1), [3, 1, 1, 1], "3111"])
+    def test_target_not_a_delta_sequence(self, target):
+        # a plain tuple or list of feasible degrees is not coerced
+        with pytest.raises(TypeError, match="^sequence must be a DeltaSequence, got "):
+            realize_direct(target)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_census_matches_the_validating_constructor(self, n):

@@ -134,6 +134,16 @@ class TestCompare:
         with pytest.raises(LengthMismatch):
             compare(DeltaSequence([1, 1]), DeltaSequence([2, 1, 1]))
 
+    @pytest.mark.parametrize("other", [(2, 1, 1), [2, 1, 1], "211"])
+    def test_not_a_delta_sequence(self, other):
+        # a plain tuple or list of degrees is not coerced, on either side
+        s = DeltaSequence([2, 1, 1])
+        pattern = "^sequence must be a DeltaSequence, got "
+        with pytest.raises(TypeError, match=pattern):
+            compare(other, s)
+        with pytest.raises(TypeError, match=pattern):
+            compare(s, other)
+
     def test_unequal_totals_allowed(self):
         # generalized order: complete-graph degrees dominate the chain's
         chain4 = DeltaSequence([2, 2, 1, 1])

@@ -89,6 +89,16 @@ class TestBasicTransfer:
 
 
 class TestPlanTransfers:
+    @pytest.mark.parametrize("other", [(2, 1, 1), [2, 1, 1], "211"])
+    def test_not_a_delta_sequence(self, other):
+        # a plain tuple or list of degrees is not coerced, on either side
+        s = DeltaSequence([2, 1, 1])
+        pattern = "^sequence must be a DeltaSequence, got "
+        with pytest.raises(TypeError, match=pattern):
+            plan_transfers(other, s)
+        with pytest.raises(TypeError, match=pattern):
+            plan_transfers(s, other)
+
     def test_two_step_golden(self):
         plan = plan_transfers(
             DeltaSequence([3, 3, 3, 1, 1, 1, 1, 1]),

@@ -42,9 +42,9 @@ from treemajor import (
 from treemajor import trees
 from treemajor.trees import (
     freeze,
-    move_code_map,
     neighbor_toward,
     pair_moves,
+    successor_codes,
 )
 from oracles import (
     branch_members_reference,
@@ -284,7 +284,7 @@ class TestTrustedBuilds:
         assert all(list(ws) == sorted(ws) for ws in t._adj)
 
     def test_slots(self):
-        assert Tree.__slots__ == ("_code", "_moves")
+        assert Tree.__slots__ == ("_code", "_successors")
 
     def test_each_build(self):
         # labels up to 59 in small sets, which do not iterate in order
@@ -578,10 +578,9 @@ class TestLegalMovesAgainstReference:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_move_codes_make_each_legal_move(self, n):
         for t in enumerate_trees(n):
-            pairs = move_code_map(t).items()
-            for (mv, code), want_mv in zip(pairs, legal_moves(t), strict=True):
-                assert mv == want_mv
-                assert code == _canonical_code_reference(move_branch(t, *want_mv))
+            assert successor_codes(t) == {
+                _canonical_code_reference(move_branch(t, *mv)) for mv in legal_moves(t)
+            }
 
 
 def _first_move_per_pair(t: Tree) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -622,27 +621,48 @@ class TestPairMoves:
 
 class TestSuccessorCodes:
     def test_coded_once_per_tree(self, monkeypatch):
-        # the move map is coded once, one _peel_code call per move, in
-        # legal_moves' order, and cached; a tree made by a move or by
+        # the successor set is coded once, one _peel_code call per legal
+        # move, and cached as a frozenset; a tree made by a move or by
         # freezing neighbour lists starts uncached, even one equal to a
         # cached tree
         calls = []
         real = trees._peel_code
         monkeypatch.setattr(trees, "_peel_code", lambda *a: calls.append(1) or real(*a))
         t = tree_from_prufer([0, 0, 1, 2, 2, 5])
-        first = move_code_map(t)
-        assert move_code_map(t) is first
-        assert list(first) == legal_moves(t)
-        assert len(calls) == len(first)
+        first = successor_codes(t)
+        assert successor_codes(t) is first
+        assert type(first) is frozenset
+        assert len(calls) == len(legal_moves(t)) > len(first)
         moved = move_branch(t, *legal_moves(t)[0])
         frozen = freeze([list(t.neighbors(v)) for v in range(t.n)])
         assert frozen == t
         for fresh in (moved, frozen):
-            want = {mv: canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)}
+            want = {canonical_code(move_branch(fresh, *mv)) for mv in legal_moves(fresh)}
             calls.clear()
-            assert move_code_map(fresh) == want
-            assert move_code_map(fresh) is move_code_map(fresh)
-            assert len(calls) == len(want)
+            assert successor_codes(fresh) == want
+            assert successor_codes(fresh) is successor_codes(fresh)
+            assert len(calls) == len(legal_moves(fresh))
+
+    def test_an_interrupted_coding_caches_nothing(self, monkeypatch):
+        # the set is cached only once every move is coded, so a coding cut
+        # short leaves the tree uncached and the next call codes it whole
+        t = tree_from_prufer([0, 0, 1, 2, 2, 5])
+        want = {canonical_code(move_branch(t, *mv)) for mv in legal_moves(t)}
+        real = trees._peel_code
+        calls = []
+
+        def cut(*a):
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*a)
+
+        monkeypatch.setattr(trees, "_peel_code", cut)
+        with pytest.raises(KeyboardInterrupt):
+            successor_codes(t)
+        assert t._successors is None
+        monkeypatch.setattr(trees, "_peel_code", real)
+        assert successor_codes(t) == want
 
 
 class TestCanonicalCode:

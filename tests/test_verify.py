@@ -34,6 +34,7 @@ from treemajor import (
     compare,
     convex_functional,
     covering_relations,
+    cycle_graph,
     delta_census,
     delta_sequence,
     enumerate_trees,
@@ -99,8 +100,8 @@ def _closure_codes_reference(edges, start):
 @pytest.fixture
 def patched_successors(monkeypatch):
     """The monkeypatch fixture, for a test that patches
-    verify.move_code_map.  The successor memo is cached per n, so it is
-    cleared before and after, and a patched memo never outlives the test."""
+    verify.successor_codes.  The memo is cached per n, so it is cleared
+    before and after, and a patched memo never outlives the test."""
     verify._classes.cache_clear()
     yield monkeypatch
     verify._classes.cache_clear()
@@ -316,7 +317,7 @@ class TestReachability:
     def test_matches_depth_first_reference(self, n):
         rng = random.Random(n)
         reps = {canonical_code(t): t for t in enumerate_trees(n)}
-        edges = {code: trees.move_code_map(t).values() for code, t in reps.items()}
+        edges = {code: trees.successor_codes(t) for code, t in reps.items()}
         for code, t in reps.items():
             want = _closure_codes_reference(edges, code)
             perm = list(range(n))
@@ -519,7 +520,7 @@ class TestMoveTraces:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_successor_codes_match_move_branch(self, n):
         for t in enumerate_trees(n):
-            assert set(verify.move_code_map(t).values()) == {
+            assert verify.successor_codes(t) == {
                 canonical_code(move_branch(t, *mv)) for mv in legal_moves(t)
             }
 
@@ -548,8 +549,8 @@ class TestCertificates:
 
     def test_checking_a_closure_just_built_codes_nothing(self, monkeypatch):
         # on a cleared memo, the closure's members are the memo's
-        # representatives, whose move maps the walk cached; fresh copies are
-        # coded on their own, each its code and its moves, and a copy
+        # representatives, whose successor sets the walk cached; fresh copies
+        # are coded on their own, each its code and its moves, and a copy
         # missing one member reached by a move is rejected
         verify._classes.cache_clear()
         n = 9
@@ -679,6 +680,29 @@ class TestCertificates:
         with pytest.raises(TypeError, match=pattern):
             certify_reachability(chain(5), target)
 
+    @pytest.mark.parametrize("target", [(2, 2, 2, 1, 1), [2, 2, 2, 1, 1], "22211"])
+    def test_forged_target_rejected_at_construction(self, target):
+        # a trace certificate and a closure certificate whose target is not
+        # a DeltaSequence both raise when built, so neither reaches a check
+        pattern = "^sequence must be a DeltaSequence, got "
+        kinds = [
+            (chain(5), find_move_trace(chain(5), DeltaSequence([4, 1, 1, 1, 1])), None),
+            (star(5), None, reachability_closure(star(5))),
+        ]
+        for source, trace, closure in kinds:
+            with pytest.raises(TypeError, match=pattern):
+                ReachabilityCertificate(source, target, trace, closure)
+
+    @pytest.mark.parametrize("source", [cycle_graph(5), chain(5).sorted_edges(), None])
+    def test_source_not_a_tree_rejected_at_construction(self, source):
+        with pytest.raises(TypeError, match="^source must be a Tree, got "):
+            ReachabilityCertificate(
+                source=source,
+                target_delta=DeltaSequence([2, 2, 2, 1, 1]),
+                trace=None,
+                closure=reachability_closure(star(5)),
+            )
+
     def test_exactly_one_side_required(self):
         with pytest.raises(ValueError):
             ReachabilityCertificate(
@@ -734,20 +758,18 @@ class TestMajorizationReachability:
         n = 7
         hub = DeltaSequence([5, 2, 1, 1, 1, 1, 1])
         star_code = canonical_code(star(n))
-        real = verify.move_code_map
+        real = verify.successor_codes
         (source,) = [t for t in enumerate_trees(n) if delta_sequence(t) == hub]
-        assert star_code in real(source).values()
+        assert star_code in real(source)
 
         def cut(t):
-            moves = real(t)
-            if delta_sequence(t) != hub:
-                return moves
-            return {mv: code for mv, code in moves.items() if code != star_code}
+            codes = real(t)
+            return codes - {star_code} if delta_sequence(t) == hub else codes
 
         reps = {canonical_code(t): t for t in enumerate_trees(n)}
-        edges = {code: cut(t).values() for code, t in reps.items()}
+        edges = {code: cut(t) for code, t in reps.items()}
         with patched_successors.context() as patch:
-            patch.setattr(verify, "move_code_map", cut)
+            patch.setattr(verify, "successor_codes", cut)
             ok, certificates = verify_majorization_reachability(n)
         reference = _reachability_failures_reference(n, reps, edges)
         assert ok == (reference == []) and not ok
@@ -760,19 +782,19 @@ class TestMajorizationReachability:
     def test_move_that_does_not_raise_the_sequence_is_a_defect(
         self, patched_successors
     ):
-        # a class listing itself as a successor, by an extra move, breaks
-        # the forward direction; the theorem pass checks it, while the memo
-        # is a plain cache, so a closure walk reads the looped class without
-        # a check
+        # a class listing itself as a successor, as an extra move would,
+        # breaks the forward direction; the theorem pass checks it, while the
+        # memo is a plain cache, so a closure walk reads the looped class
+        # without a check
         n = 6
-        real = verify.move_code_map
+        real = verify.successor_codes
         looped = canonical_code(chain(n))
 
         def loop(t):
-            moves = real(t)
-            return {**moves, (-1, -1, -1): looped} if canonical_code(t) == looped else moves
+            codes = real(t)
+            return codes | {looped} if canonical_code(t) == looped else codes
 
-        patched_successors.setattr(verify, "move_code_map", loop)
+        patched_successors.setattr(verify, "successor_codes", loop)
         d = delta_sequence(chain(n))
         with pytest.raises(
             RuntimeError,
@@ -806,21 +828,20 @@ class TestMajorizationReachability:
         low = DeltaSequence([3, 2, 2, 1, 1, 1])
         (high,) = trees_with_delta(n, DeltaSequence([4, 2, 1, 1, 1, 1]))
         high_code = canonical_code(high)
-        real = verify.move_code_map
-        source = next(t for t in trees_with_delta(n, low) if high_code in real(t).values())
+        real = verify.successor_codes
+        source = next(t for t in trees_with_delta(n, low) if high_code in real(t))
 
         def cut(t):
-            moves = real(t)
-            if t != source:
-                return moves
-            return {mv: code for mv, code in moves.items() if code != high_code}
+            codes = real(t)
+            return codes - {high_code} if t == source else codes
 
         reps = {canonical_code(t): t for t in enumerate_trees(n)}
-        edges = {code: cut(t).values() for code, t in reps.items()}
-        patched_successors.setattr(verify, "move_code_map", cut)
+        edges = {code: cut(t) for code, t in reps.items()}
+        patched_successors.setattr(verify, "successor_codes", cut)
         assert verify_majorization_reachability(n) == (True, [])
         assert _reachability_failures_reference(n, reps, edges) == []
-        assert high_code not in verify._successors(n, canonical_code(source))
+        memo_source = verify._classes(n)[0][canonical_code(source)]
+        assert high_code not in verify.successor_codes(memo_source)
 
     def test_a_cold_query_codes_only_its_closure(self, patched_successors):
         # coding is counted as _peel_code calls once the memo's enumeration
@@ -846,6 +867,16 @@ class TestMajorizationReachability:
 
 
 class TestUnreachablePair:
+    @pytest.mark.parametrize("other", [(2, 2, 2, 1, 1), [2, 2, 2, 1, 1], "22211"])
+    def test_not_a_delta_sequence(self, other):
+        # a plain tuple or list of degrees is not coerced, on either side
+        s = DeltaSequence([3, 2, 1, 1, 1])
+        pattern = "^sequence must be a DeltaSequence, got "
+        with pytest.raises(TypeError, match=pattern):
+            find_unreachable_pair(5, other, s)
+        with pytest.raises(TypeError, match=pattern):
+            find_unreachable_pair(5, s, other)
+
     def test_known_blocked_pair(self):
         s = DeltaSequence([4, 2, 2, 2, 1, 1, 1, 1])
         s_prime = DeltaSequence([5, 2, 2, 1, 1, 1, 1, 1])
