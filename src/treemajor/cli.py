@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import NotMajorized, TreeMajorError
+from .errors import NotMajorized, TreeMajorError, require_bound
 from .sequences import (
     ComparisonResult,
     DeltaSequence,
@@ -36,7 +36,7 @@ from .realize import (
     realize_from_chain,
     trace_to_dict,
 )
-from .enumeration import delta_census, enumerate_trees, require_census_bound
+from .enumeration import CENSUS_MAX_NODES, delta_census, enumerate_trees
 from .verify import (
     DEFAULT_SEED,
     check_total_order,
@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
             else f"{len(certificates)} unreachable (class, cover) pairs",
         )
     if args.chain_minimal or run_all:
-        require_census_bound(args.n)  # before any graph is sampled
+        require_bound(args.n, CENSUS_MAX_NODES, "the census")  # before any graph is sampled
         suite = standard_graph_suite(args.n, count=args.samples, seed=args.seed)
         detail = f"census exhaustive + {len(suite)} sampled graphs (seed {args.seed})"
         record("chain-minimal", verify_chain_minimality(args.n, suite), detail)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Sequence
 
-from .errors import BoundExceeded, LengthMismatch, NotTreeFeasible, require_int
-from .sequences import DeltaSequence, require_delta_sequence
+from .errors import require_bound, require_ints, require_node_count
+from .sequences import DeltaSequence, require_tree_sequence
 from .trees import Tree, canonical_code, delta_sequence, freeze
 
 __all__ = [
@@ -109,15 +109,12 @@ def enumerate_trees(n: int) -> list[Tree]:
     """One representative per isomorphism class of free trees on ``n`` nodes.
 
     The level-sequence walk yields only the kept rooting of each class, and
-    a ``Tree`` is built only for it.  Output order is lexicographic by
-    canonical code and therefore stable.  Raises TypeError unless ``n`` is
-    an int (a bool is not) and BoundExceeded above :data:`MAX_NODES`.
+    a ``Tree`` is built only for it.  Output is sorted by canonical code, so
+    stable.  Raises TypeError unless ``n`` is an int (a bool is not), then
+    ValueError below 1, then BoundExceeded above :data:`MAX_NODES`.
     """
-    require_int(n, "node count")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > MAX_NODES:
-        raise BoundExceeded(f"enumeration supports n <= {MAX_NODES}, got {n}")
+    require_node_count(n, "enumeration", 1)
+    require_bound(n, MAX_NODES, "enumeration")
     return sorted(map(_tree_from_levels, _level_sequences(n)), key=canonical_code)
 
 
@@ -141,13 +138,12 @@ def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 def tree_from_prufer(seq: Sequence[int]) -> Tree:
     """Decode a Prufer sequence over labels 0..n-1 into the labeled tree on
     n = len(seq) + 2 nodes.  The decoding is the standard bijection, so the
-    edges form a tree by construction and are not re-validated once each
-    label is checked: TypeError for a label that is not an int (a bool is
-    not), ValueError for one outside 0..n-1."""
+    edges form a tree by construction and are not re-validated once the
+    labels are checked: TypeError if any is not an int (a bool is not),
+    then ValueError for one outside 0..n-1."""
     n = len(seq) + 2
+    require_ints(seq, "Prufer labels")
     for x in seq:
-        if type(x) is not int:
-            raise TypeError(f"Prufer labels must be ints, got {x!r}")
         if not (0 <= x < n):
             raise ValueError(f"label {x} outside 0..{n - 1}")
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -173,33 +169,13 @@ def _partitions_desc(total: int, parts: int, bound: int) -> Iterator[tuple[int, 
 def delta_census(n: int) -> list[DeltaSequence]:
     """Every tree-feasible degree sequence on ``n`` nodes, i.e. every
     partition of 2(n-1) into n positive parts, in descending lexicographic
-    order (star first, chain last).  Raises BoundExceeded above
-    :data:`CENSUS_MAX_NODES`, TypeError unless ``n`` is an int."""
-    require_int(n, "node count")
-    if n < 2:
-        raise ValueError(f"census needs n >= 2, got {n}")
-    require_census_bound(n)
+    order (star first, chain last).  Raises TypeError unless ``n`` is an
+    int, ValueError below 2, BoundExceeded above :data:`CENSUS_MAX_NODES`."""
+    require_node_count(n, "census")
+    require_bound(n, CENSUS_MAX_NODES, "the census")
     return [
         DeltaSequence(p) for p in _partitions_desc(2 * (n - 1), n, n - 1)
     ]
-
-
-def require_census_bound(n: int) -> None:
-    """Raise BoundExceeded above :data:`CENSUS_MAX_NODES`."""
-    if n > CENSUS_MAX_NODES:
-        raise BoundExceeded(f"the census supports n <= {CENSUS_MAX_NODES}, got {n}")
-
-
-def require_tree_sequence(n: int, s: DeltaSequence) -> None:
-    """Raise TypeError unless ``n`` is an int (a bool is not) and ``s`` a
-    DeltaSequence, then LengthMismatch unless ``s`` has ``n`` values, and
-    NotTreeFeasible unless some tree on ``n`` nodes has it."""
-    require_int(n, "node count")
-    require_delta_sequence(s)
-    if len(s) != n:
-        raise LengthMismatch(f"sequence has length {len(s)}, expected {n}")
-    if not s.tree_feasible:
-        raise NotTreeFeasible(f"{s} is not realizable by a tree")
 
 
 def trees_with_delta(n: int, s: DeltaSequence) -> list[Tree]:

@@ -81,6 +81,26 @@ def require_int(value, what: str) -> None:
         raise TypeError(f"{what} must be an int, got {value!r}")
 
 
+def require_ints(values, what: str) -> None:
+    """TypeError naming ``what`` unless each of ``values`` is an int (a bool is not)."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {values!r}")
+
+
+def require_node_count(n, what: str, least: int = 2) -> None:
+    """TypeError unless ``n`` is an int (a bool is not), then ValueError below ``least``."""
+    require_int(n, "node count")
+    if n < least:
+        raise ValueError(f"{what} needs n >= {least}, got {n}")
+
+
+def require_bound(n: int, bound: int, what: str) -> None:
+    """BoundExceeded naming ``what`` if ``n`` is above ``bound``."""
+    if n > bound:
+        raise BoundExceeded(f"{what} supports n <= {bound}, got {n}")
+
+
 def dict_fields(data, what: str, *names: str) -> tuple:
     """The values of ``names`` in the object ``data`` read as a ``what``;
     ParseError if it is not a dict or lacks one of them."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import dict_fields, list_of
+from .errors import dict_fields, list_of, require_ints
 from .sequences import DeltaSequence, require_delta_sequence, validate_tree_sequence
 from .transfers import TransferPlan, plan_transfers
 from .trees import (
@@ -162,6 +162,6 @@ def trace_to_dict(trace: MoveTrace) -> dict:
 def trace_from_dict(data: dict) -> MoveTrace:
     initial, raw_moves, final = dict_fields(data, "trace", "initial", "moves", "final")
     moves = tuple(map(tuple, list_of(raw_moves, "trace moves", 3)))
-    if any(type(label) is not int for mv in moves for label in mv):
-        raise TypeError(f"move labels must be ints, got {moves!r}")
+    for mv in moves:
+        require_ints(mv, "move labels")
     return MoveTrace(initial=tree_from_dict(initial), moves=moves, final=tree_from_dict(final))

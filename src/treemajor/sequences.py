@@ -15,6 +15,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import LengthMismatch, NonPositiveDegree, NotTreeFeasible, ParseError
+from .errors import require_int, require_ints
 
 __all__ = [
     "DeltaSequence",
@@ -49,9 +50,7 @@ class DeltaSequence:
         vals = tuple(sorted(values, reverse=True))
         if not vals:
             raise ValueError("a degree sequence needs at least one value")
-        for v in vals:
-            if type(v) is not int:
-                raise TypeError(f"degrees must be ints, got {v!r} in {vals}")
+        require_ints(vals, "degrees")
         if vals[-1] <= 0:
             raise NonPositiveDegree(
                 f"degrees must be >= 1, got {vals[-1]} in {vals}"
@@ -151,8 +150,20 @@ def validate_tree_sequence(raw: Iterable[int]) -> DeltaSequence:
     return seq
 
 
+def require_tree_sequence(n: int, s: DeltaSequence) -> None:
+    """Raise TypeError unless ``n`` is an int (a bool is not) and ``s`` a
+    DeltaSequence, then LengthMismatch unless ``s`` has ``n`` values, then
+    NotTreeFeasible as :func:`validate_tree_sequence` does."""
+    require_int(n, "node count")
+    require_delta_sequence(s)
+    if len(s) != n:
+        raise LengthMismatch(f"sequence has length {len(s)}, expected {n}")
+    validate_tree_sequence(s)
+
+
 def prefix_sums(s: DeltaSequence) -> tuple[int, ...]:
     """Cumulative sums of the sorted values; the last entry is the total."""
+    require_delta_sequence(s)
     return tuple(accumulate(s.values))
 
 
@@ -185,6 +196,7 @@ def majorization_gap(lower: DeltaSequence, upper: DeltaSequence) -> int:
     basic transfer closes the gap by at least one, which bounds the length
     of any transfer plan.
     """
+    require_delta_sequence(lower, upper)
     if len(lower) != len(upper):
         raise LengthMismatch(
             f"cannot measure gap between lengths {len(lower)} and {len(upper)}"
@@ -204,6 +216,7 @@ def convex_functional(
     s: DeltaSequence, phi: Callable[[int], int | Fraction]
 ) -> int | Fraction:
     """Sum of ``phi`` over the values of ``s`` (exact)."""
+    require_delta_sequence(s)
     return sum(phi(v) for v in s.values)
 
 

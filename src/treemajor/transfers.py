@@ -24,6 +24,7 @@ from .errors import (
     TreeMajorError,
     dict_fields,
     list_of,
+    require_ints,
 )
 from .sequences import ComparisonResult, DeltaSequence, compare, require_delta_sequence
 
@@ -116,10 +117,10 @@ def basic_transfer(s: DeltaSequence, i: int, j: int) -> DeltaSequence:
 
     The donor value must be at least 2 so no value ever drops below 1.
     With ``i < j`` (the tree variant) the result strictly dominates ``s``.
-    Ranks must be ints (TypeError otherwise; a bool is not one).
+    Raises TypeError unless ``s`` is a DeltaSequence, then unless both ranks are ints.
     """
-    if type(i) is not int or type(j) is not int:
-        raise TypeError(f"ranks must be ints, got i={i!r}, j={j!r}")
+    require_delta_sequence(s)
+    require_ints((i, j), "ranks")
     vals = list(s.values)
     transfer_in_place(vals, i, j)
     return DeltaSequence(vals)
@@ -248,11 +249,10 @@ def plan_from_dict(data: dict) -> TransferPlan:
     source, target, raw_steps = dict_fields(data, "plan", "source", "target", "steps")
     fields = [dict_fields(st, "plan step", "i", "j", "before", "after")
               for st in list_of(raw_steps, "plan steps")]
-    ranks = [(i, j) for i, j, _, _ in fields]
     snapshots = [(list_of(b, "step before"), list_of(a, "step after")) for _, _, b, a in fields]
-    if any(type(r) is not int for pair in ranks for r in pair):
-        raise TypeError(f"ranks must be ints, got {ranks!r}")
-    steps = tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j in ranks)
+    for i, j, _, _ in fields:
+        require_ints((i, j), "ranks")
+    steps = tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j, _, _ in fields)
     plan = TransferPlan(
         source=DeltaSequence(list_of(source, "plan source")),
         target=DeltaSequence(list_of(target, "plan target")),

@@ -22,6 +22,8 @@ from .errors import (
     dict_fields,
     list_of,
     require_int,
+    require_ints,
+    require_node_count,
 )
 from .sequences import DeltaSequence
 
@@ -63,8 +65,7 @@ def _adjacency(
     adj = [[] for _ in range(n)] if len(edges) >= n - 1 else None
     seen = set()
     for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            raise TypeError(f"edge labels must be ints, got ({u!r}, {v!r})")
+        require_ints((u, v), "edge labels")
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -95,9 +96,7 @@ class Graph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        require_int(n, "node count")
-        if n < 1:
-            raise ValueError(f"need at least one node, got n={n}")
+        require_node_count(n, "graph", 1)
         adj, m = _adjacency(n, edges)
         self._check_edge_count(n, m)
         if adj is None or -1 in _branch_sides(adj, 0):
@@ -156,6 +155,12 @@ class Tree(Graph):
         return hash(self._adj)
 
 
+def require_tree(value, what: str) -> None:
+    """TypeError naming ``what`` unless ``value`` is a Tree."""
+    if not isinstance(value, Tree):
+        raise TypeError(f"{what} must be a Tree, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Branch:
     """One branch of ``root``: the component hanging off edge (root, gateway).
@@ -169,21 +174,15 @@ class Branch:
     members: frozenset[int]
 
 
-def _require_node_count(n: int, shape: str, least: int = 2) -> None:
-    require_int(n, "node count")
-    if n < least:
-        raise ValueError(f"{shape} needs n >= {least}, got {n}")
-
-
 def chain(n: int) -> Tree:
     """The path tree 0-1-...-(n-1)."""
-    _require_node_count(n, "chain")
+    require_node_count(n, "chain")
     return freeze([(1,), *[(k - 1, k + 1) for k in range(1, n - 1)], (n - 2,)])
 
 
 def star(n: int) -> Tree:
     """The star with center 0 and leaves 1..n-1."""
-    _require_node_count(n, "star")
+    require_node_count(n, "star")
     return freeze([range(1, n), *[(0,)] * (n - 1)])
 
 
@@ -269,8 +268,7 @@ def _move_branches(t: Tree, moves, enforce_degree_rule: bool) -> Tree:
     n = t.n
     nbrs = [set(ws) for ws in t._adj]
     for donor, gateway, target in moves:
-        if type(donor) is not int or type(gateway) is not int or type(target) is not int:
-            raise TypeError(f"move labels must be ints, got {(donor, gateway, target)!r}")
+        require_ints((donor, gateway, target), "move labels")
         if not (0 <= donor < n and gateway in nbrs[donor]):
             raise ValueError(f"no edge between {donor} and {gateway}")
         if len(nbrs[donor]) < 2:
@@ -441,12 +439,12 @@ def is_isomorphic(t1: Tree, t2: Tree) -> bool:
 
 
 def cycle_graph(n: int) -> Graph:
-    _require_node_count(n, "cycle", 3)
+    require_node_count(n, "cycle", 3)
     return Graph(n, [(k, (k + 1) % n) for k in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    _require_node_count(n, "complete graph")
+    require_node_count(n, "complete graph")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 

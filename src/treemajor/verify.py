@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BoundExceeded, NotMajorized, TreeMajorError, require_int
+from .errors import NotMajorized, TreeMajorError, require_bound, require_int, require_node_count
 from .realize import MoveTrace
 from .transfers import transfer_in_place
 from .sequences import (
@@ -35,13 +35,9 @@ from .sequences import (
     compare,
     convex_functional,
     require_delta_sequence,
-)
-from .enumeration import (
-    delta_census,
-    enumerate_trees,
     require_tree_sequence,
-    tree_from_prufer,
 )
+from .enumeration import delta_census, enumerate_trees, tree_from_prufer
 from .trees import (
     CanonicalCode,
     Graph,
@@ -55,6 +51,7 @@ from .trees import (
     freeze,
     move_branch,
     pair_moves,
+    require_tree,
     successor_codes,
 )
 
@@ -118,8 +115,9 @@ class ReachabilityCertificate:
     Exactly one of ``trace`` (a replayable move sequence ending in the
     target degree sequence) or ``closure`` (every class reachable from the
     source, closed under all degree-rule moves, none matching the target)
-    is present.  Either kind raises TypeError unless ``source`` is a Tree
-    and ``target_delta`` a DeltaSequence.
+    is present.  Raises TypeError unless ``source`` is a Tree and
+    ``target_delta`` a DeltaSequence, then ValueError unless exactly one is
+    present, then TypeError unless it is a MoveTrace or a tuple of Trees.
     """
 
     source: Tree
@@ -128,11 +126,16 @@ class ReachabilityCertificate:
     closure: tuple[Tree, ...] | None
 
     def __post_init__(self):
-        if not isinstance(self.source, Tree):
-            raise TypeError(f"source must be a Tree, got {self.source!r}")
+        require_tree(self.source, "source")
         require_delta_sequence(self.target_delta)
         if (self.trace is None) == (self.closure is None):
             raise ValueError("exactly one of trace or closure must be present")
+        if self.trace is not None and not isinstance(self.trace, MoveTrace):
+            raise TypeError(f"trace must be a MoveTrace, got {self.trace!r}")
+        if self.closure is not None and not isinstance(self.closure, tuple):
+            raise TypeError(f"closure must be a tuple of Trees, got {self.closure!r}")
+        for t in self.closure or ():
+            require_tree(t, "closure member")
 
 
 def check_total_order(n: int) -> OrderReport:
@@ -156,17 +159,10 @@ def _classes(n: int):
     """The reachability memo of size ``n``: code -> representative, in
     canonical-code order; code -> degree sequence (none at n=1).  Raises
     BoundExceeded above the bound."""
-    _require_reachability_bound(n)
+    require_bound(n, REACHABILITY_MAX_NODES, "reachability search")
     reps = {canonical_code(t): t for t in enumerate_trees(n)}
     deltas = {code: delta_sequence(t) for code, t in reps.items() if n > 1}
     return reps, deltas
-
-
-def _require_reachability_bound(n: int) -> None:
-    if n > REACHABILITY_MAX_NODES:
-        raise BoundExceeded(
-            f"reachability closures support n <= {REACHABILITY_MAX_NODES}, got {n}"
-        )
 
 
 def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
@@ -251,7 +247,7 @@ def find_move_trace(t: Tree, target_delta: DeltaSequence) -> MoveTrace | None:
     is not a DeltaSequence, and LengthMismatch or NotTreeFeasible for one
     that is not a tree sequence on ``t.n``.
     """
-    _require_reachability_bound(t.n)
+    require_bound(t.n, REACHABILITY_MAX_NODES, "reachability search")
     require_tree_sequence(t.n, target_delta)
     base = delta_sequence(t)
     rel = compare(base, target_delta)
@@ -366,9 +362,7 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     canonical class order then cover order.  Returns (all_ok,
     certificates-for-failures).
     """
-    require_int(n, "node count")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    require_node_count(n, "theorem check")
     reps, deltas = _classes(n)
     census = delta_census(n)
     covers = {a: [] for a in census}
@@ -409,7 +403,7 @@ def find_unreachable_pair(
     deterministic.
     """
     require_int(n, "node count")
-    _require_reachability_bound(n)
+    require_bound(n, REACHABILITY_MAX_NODES, "reachability search")
     rel = compare(s, s_prime)
     if rel is ComparisonResult.EQUAL:
         return None
@@ -508,9 +502,7 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
     """A uniform random labeled tree (via a random Prufer sequence) plus up
     to ``_MAX_EXTRA_EDGES`` random extra edges; resampled until it is not a
     path."""
-    require_int(n, "node count")
-    if n < 3:
-        raise ValueError(f"no connected non-chain graph exists for n={n}")
+    require_node_count(n, "connected non-chain graph", 3)
     while True:
         t = tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])
         nbrs = [list(t.neighbors(v)) for v in range(n)]

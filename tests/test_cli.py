@@ -244,7 +244,7 @@ class TestVerify:
 
     def test_theorem_bound_exit_two(self, capsys):
         code, out, err = run(capsys, "verify", "13", "--theorem")
-        assert code == 2 and out == "" and "n <= 12" in err
+        assert code == 2 and out == "" and "reachability search supports n <= 12, got 13" in err
 
     def test_two_nodes_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "2", "--all")
@@ -308,7 +308,8 @@ def test_census_bound_exit_two(capsys, monkeypatch, argv):
     monkeypatch.setattr(enumeration, "_partitions_desc", not_reached)
     monkeypatch.setattr(verify, "random_connected_graph", not_reached)
     code, out, err = run(capsys, argv[0], str(CENSUS_MAX_NODES + 1), *argv[1:])
-    assert code == 2 and out == "" and f"n <= {CENSUS_MAX_NODES}" in err
+    bound = f"the census supports n <= {CENSUS_MAX_NODES}, got {CENSUS_MAX_NODES + 1}"
+    assert code == 2 and out == "" and bound in err
 
 
 class TestMove:

@@ -1,8 +1,8 @@
 """Module boundaries inside the package: no module reaches into another
 module's private names or another object's private attributes, every
-definition outside a module's public names is used, the int check of an
-argument is written once, and the package exports exactly the modules'
-public names."""
+definition outside a module's public names is used, each argument check's
+message is written once, in its helper, and the package exports exactly
+the modules' public names."""
 
 import ast
 import importlib
@@ -100,12 +100,22 @@ def unread_definitions(paths: list[Path]) -> list[tuple[str, str]]:
     return found
 
 
-INT_MESSAGE = "must be an int, got"
+# Each argument check's message text (or raise), and the one helper, as
+# (module, function), that writes it; every other site calls the helper.
+CHECKS = {
+    "int": ("must be an int, got", ("errors", "require_int")),
+    "ints": ("must be ints, got", ("errors", "require_ints")),
+    "node-count": ("needs n >=", ("errors", "require_node_count")),
+    "bound": ("supports n <=", ("errors", "require_bound")),
+    "delta-sequence": ("must be a DeltaSequence", ("sequences", "require_delta_sequence")),
+    "tree": ("must be a Tree", ("trees", "require_tree")),
+    "not-tree-feasible": ("raise NotTreeFeasible", ("sequences", "validate_tree_sequence")),
+}
 
 
-def int_message_sites(paths: list[Path]) -> list[tuple[str, str | None]]:
-    """(module, module-level function or class) for each occurrence of the
-    int check's message text; None outside any."""
+def message_sites(paths: list[Path], message: str) -> list[tuple[str, str | None]]:
+    """(module, module-level function or class) for each occurrence of
+    ``message``; None outside any."""
     found = []
     for path in paths:
         text = path.read_text()
@@ -116,7 +126,7 @@ def int_message_sites(paths: list[Path]) -> list[tuple[str, str | None]]:
         ]
         for k, line in enumerate(text.splitlines(), start=1):
             owner = next((name for a, b, name in spans if a <= k <= b), None)
-            found.extend([(path.stem, owner)] * line.count(INT_MESSAGE))
+            found.extend([(path.stem, owner)] * line.count(message))
     return found
 
 
@@ -136,9 +146,11 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def test_one_int_check():
-    # every count, seed and node argument is checked by errors.require_int
-    assert int_message_sites(MODULES) == [("errors", "require_int")]
+@pytest.mark.parametrize("check", CHECKS, ids=str)
+def test_one_helper_per_check(check):
+    # every site that makes this check calls the helper that owns its text
+    message, owner = CHECKS[check]
+    assert message_sites(MODULES, message) == [owner]
 
 
 def test_every_internal_definition_is_read():
@@ -239,13 +251,21 @@ def test_guards_catch_violations(tmp_path):
         "def g(n):\n"
         "    raise TypeError(f'node count must be an int, got {n!r}')\n"
     )
+    # one hand-written copy of every check's text, each in g
+    copies = tmp_path / "verify.py"
+    copies.write_text(
+        "def g():\n"
+        + "".join(f"    {message!r}\n" for message, _ in CHECKS.values())
+    )
     assert private_imports(bad) == [
         ("realize", "trees", "_adjacency"),
         ("realize", "transfers", "_helper"),
     ]
     assert foreign_private_attributes(bad) == [("realize", 5, "_adj")]
     assert unused_imports(bad) == ["_adjacency", "_helper", "chain"]
-    assert int_message_sites([bad]) == [("realize", "g")]
+    for message, owner in CHECKS.values():
+        assert message_sites([copies], message) == [("verify", "g")] != [owner]
+    assert message_sites([bad], CHECKS["int"][0]) == [("realize", "g")]
     helpers = tmp_path / "trees.py"
     helpers.write_text(
         "__all__ = ['api']\n"

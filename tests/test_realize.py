@@ -364,7 +364,7 @@ class TestTraceSerialization:
     def test_dict_rejects_non_int_move_label(self):
         data = trace_to_dict(realize_from_chain(DeltaSequence([3, 2, 1, 1, 1])))
         data["moves"][0][2] = float(data["moves"][0][2])
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^move labels must be ints, got "):
             trace_from_dict(data)
 
     def test_replay_matches_recorded_final(self):

@@ -15,6 +15,7 @@ from treemajor import (
     NonPositiveDegree,
     NotTreeFeasible,
     ParseError,
+    basic_transfer,
     compare,
     convex_functional,
     delta_census,
@@ -47,7 +48,7 @@ class TestDeltaSequence:
 
     @pytest.mark.parametrize("values", [[2.7, 1.2], [True, True], ["3", "1"]])
     def test_rejects_non_int(self, values):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^degrees must be ints, got "):
             DeltaSequence(values)
 
     def test_immutable(self):
@@ -275,6 +276,25 @@ class TestMajorizationGap:
         # prefix differences 3,3,3,2,1,0,0,0
         assert majorization_gap(x, y) == 12
         assert majorization_gap(x, x) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        prefix_sums,
+        lorenz_curve,
+        lambda s: convex_functional(s, lambda t: t * t),
+        lambda s: majorization_gap(s, DeltaSequence([2, 1, 1])),
+        lambda s: majorization_gap(DeltaSequence([2, 1, 1]), s),
+        lambda s: basic_transfer(s, 1, 2),
+    ],
+    ids=["prefix_sums", "lorenz_curve", "convex_functional", "majorization_gap-lower",
+         "majorization_gap-upper", "basic_transfer"],
+)
+def test_a_tuple_is_not_a_delta_sequence(call):
+    # the degrees as a plain tuple are rejected, not read as a sequence
+    with pytest.raises(TypeError, match="^sequence must be a DeltaSequence, got "):
+        call((2, 2, 1, 1))
 
 
 class TestParsing:

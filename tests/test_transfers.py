@@ -68,7 +68,7 @@ class TestBasicTransfer:
     @pytest.mark.parametrize("i, j", [(True, 3), (1, True), (1.0, 3), (1, "3"), (None, 3)])
     def test_non_int_rank_rejected(self, i, j):
         # a bool is not rank 1
-        with pytest.raises(TypeError, match="ranks must be ints"):
+        with pytest.raises(TypeError, match="^ranks must be ints, got "):
             basic_transfer(DeltaSequence([3, 2, 2, 1, 1, 1]), i, j)
 
     def test_preserves_total_and_resorts(self):
@@ -432,7 +432,8 @@ class TestSerialization:
             data["steps"][0]["i"] = value
         else:
             data[field] = value
-        with pytest.raises(TypeError):
+        what = "ranks" if field == "i" else "degrees"
+        with pytest.raises(TypeError, match=f"^{what} must be ints, got "):
             plan_from_dict(data)
 
     def test_dict_missing_field_is_parse_error(self):

@@ -204,8 +204,14 @@ class TestTreeConstruction:
         ],
     )
     def test_non_int_label_rejected(self, cls, n, edges):
-        with pytest.raises(TypeError):
+        what = "edge labels must be ints" if type(n) is int else "node count must be an int"
+        with pytest.raises(TypeError, match=f"^{what}, got "):
             cls(n, edges)
+
+    @pytest.mark.parametrize("cls", [Graph, Tree])
+    def test_no_nodes(self, cls):
+        with pytest.raises(ValueError, match="^graph needs n >= 1, got 0$"):
+            cls(0, [])
 
     def test_disconnected(self):
         # right edge count, but a triangle plus an isolated node
@@ -266,11 +272,15 @@ class TestBuilders:
         with pytest.raises(TypeError, match="node count must be an int"):
             build(n)
 
-    @pytest.mark.parametrize("build", [chain, star])
+    @pytest.mark.parametrize("build", [chain, star, complete_graph])
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_too_few_nodes(self, build, n):
         with pytest.raises(ValueError, match=f"needs n >= 2, got {n}$"):
             build(n)
+
+    def test_a_cycle_needs_three_nodes(self):
+        with pytest.raises(ValueError, match="^cycle needs n >= 3, got 2$"):
+            cycle_graph(2)
 
 
 class TestTrustedBuilds:
@@ -446,6 +456,8 @@ class TestMovePathAgainstReference:
     def test_non_int_labels(self, mv):
         t = star(5)
         assert _outcome(move_branch, t, *mv) == _outcome(move_branch_reference, t, *mv)
+        with pytest.raises(TypeError, match="^move labels must be ints, got "):
+            apply_moves(t, [mv])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -748,7 +760,7 @@ class TestTreeText:
             tree_from_dict(data)
 
     def test_dict_rejects_float_label(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^edge labels must be ints, got "):
             tree_from_dict({"n": 3, "edges": [[0, 1.9], [1, 2]]})
 
     @pytest.mark.parametrize(

@@ -55,6 +55,12 @@ from treemajor import (
 )
 from treemajor import enumeration, trees, verify
 
+# the message of every reachability operation just past its bound
+REACHABILITY_BOUND = (
+    f"^reachability search supports n <= {REACHABILITY_MAX_NODES}, "
+    f"got {REACHABILITY_MAX_NODES + 1}$"
+)
+
 
 def _find_move_trace_reference(t, target_delta):
     """Oracle for find_move_trace: the same breadth-first search, building
@@ -294,9 +300,9 @@ class TestReachability:
             assert closure_is_closed(reachability_closure(t))
 
     def test_bound_enforced(self):
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(BoundExceeded, match=REACHABILITY_BOUND):
             reachable_classes(chain(REACHABILITY_MAX_NODES + 1))
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(BoundExceeded, match=REACHABILITY_BOUND):
             reachability_closure(chain(REACHABILITY_MAX_NODES + 1))
 
     def test_bound_comes_before_the_order(self):
@@ -305,12 +311,12 @@ class TestReachability:
         n = REACHABILITY_MAX_NODES + 1
         low, high = delta_sequence(chain(n)), delta_sequence(star(n))
         for source, target in [(chain(n), high), (star(n), low)]:
-            with pytest.raises(BoundExceeded):
+            with pytest.raises(BoundExceeded, match=REACHABILITY_BOUND):
                 find_move_trace(source, target)
-            with pytest.raises(BoundExceeded):
+            with pytest.raises(BoundExceeded, match=REACHABILITY_BOUND):
                 certify_reachability(source, target)
         for s, s_prime in [(low, high), (high, low)]:
-            with pytest.raises(BoundExceeded):
+            with pytest.raises(BoundExceeded, match=REACHABILITY_BOUND):
                 find_unreachable_pair(n, s, s_prime)
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -659,9 +665,10 @@ class TestCertificates:
     )
     def test_malformed_target_rejected(self, target, error):
         t = chain(6)
-        with pytest.raises(error):
+        message = "^degree total " if error is NotTreeFeasible else "^sequence has length "
+        with pytest.raises(error, match=message):
             find_move_trace(t, DeltaSequence(target))
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             certify_reachability(t, DeltaSequence(target))
         forged = ReachabilityCertificate(
             source=t,
@@ -703,6 +710,21 @@ class TestCertificates:
                 closure=reachability_closure(star(5)),
             )
 
+    @pytest.mark.parametrize(
+        "trace, closure, message",
+        [
+            ((star(5), (), star(5)), None, "^trace must be a MoveTrace, got "),
+            (None, (star(5), cycle_graph(5)), "^closure member must be a Tree, got Graph"),
+            (None, "closure", "^closure must be a tuple of Trees, got 'closure'$"),
+        ],
+        ids=["tuple-trace", "graph-in-closure", "string-closure"],
+    )
+    def test_forged_side_rejected_at_construction(self, trace, closure, message):
+        # shapes a reader of files meets: each is a TypeError when built, so
+        # check_certificate never meets them
+        with pytest.raises(TypeError, match=message):
+            ReachabilityCertificate(star(5), DeltaSequence([4, 1, 1, 1, 1]), trace, closure)
+
     def test_exactly_one_side_required(self):
         with pytest.raises(ValueError):
             ReachabilityCertificate(
@@ -724,8 +746,12 @@ class TestMajorizationReachability:
         assert ok and certificates == []
 
     def test_bound_enforced(self):
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(BoundExceeded, match=REACHABILITY_BOUND):
             verify_majorization_reachability(REACHABILITY_MAX_NODES + 1)
+
+    def test_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="^theorem check needs n >= 2, got 1$"):
+            verify_majorization_reachability(1)
 
     @pytest.mark.parametrize("n", [True, False, 13.0, "8", None])
     def test_non_int_node_count(self, n):
@@ -931,11 +957,11 @@ class TestUnreachablePair:
             find_unreachable_pair(
                 6, DeltaSequence([2, 2, 1, 1, 1]), DeltaSequence([3, 2, 1, 1, 1])
             )
-        with pytest.raises(NotTreeFeasible):  # the target sums to 10, not 8
+        with pytest.raises(NotTreeFeasible, match="^degree total 10 != "):
             find_unreachable_pair(
                 5, DeltaSequence([2, 2, 2, 1, 1]), DeltaSequence([4, 2, 2, 1, 1])
             )
-        with pytest.raises(NotTreeFeasible):  # the source sums to 7
+        with pytest.raises(NotTreeFeasible, match="^degree total 7 != "):
             find_unreachable_pair(
                 5, DeltaSequence([2, 2, 1, 1, 1]), DeltaSequence([3, 2, 1, 1, 1])
             )
@@ -1076,7 +1102,8 @@ class TestCensusBound:
             raise AssertionError("generated")
 
         monkeypatch.setattr(enumeration, "_partitions_desc", no_census)
-        with pytest.raises(BoundExceeded, match=f"n <= {CENSUS_MAX_NODES}"):
+        message = f"^the census supports n <= {CENSUS_MAX_NODES}, got {CENSUS_MAX_NODES + 1}$"
+        with pytest.raises(BoundExceeded, match=message):
             operation(CENSUS_MAX_NODES + 1)
 
 
@@ -1118,6 +1145,11 @@ class TestGraphSampling:
     def test_sampler_rejects_a_non_int_node_count(self, n):
         with pytest.raises(TypeError, match=f"^node count must be an int, got {n!r}$"):
             random_connected_graph(n, random.Random(0))
+
+    def test_sampler_needs_three_nodes(self):
+        # every connected graph on two nodes is a chain
+        with pytest.raises(ValueError, match="^connected non-chain graph needs n >= 3, got 2$"):
+            random_connected_graph(2, random.Random(0))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
