@@ -42,10 +42,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferStep:
-    """One basic transfer, as 1-based ranks into the sequence it starts from."""
+    """One basic transfer, as 1-based ranks into the sequence it starts from.
+    Raises TypeError unless both ranks are ints (a bool is not one)."""
 
     receiver_rank: int
     donor_rank: int
+
+    def __post_init__(self):
+        require_ints((self.receiver_rank, self.donor_rank), "ranks")
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,9 @@ class TransferPlan:
     value) of each step that its planning walk applied.  Only that walk sets
     the record: it is no constructor argument, takes no part in ``==``,
     ``hash`` or ``repr``, and a plan built any other way (the constructor,
-    ``dataclasses.replace``, :func:`plan_from_dict`) has none.
+    ``dataclasses.replace``, :func:`plan_from_dict`) has none.  Raises
+    TypeError unless ``source`` and ``target`` are DeltaSequences, then
+    unless ``steps`` is a tuple.
     """
 
     source: DeltaSequence
@@ -64,6 +70,11 @@ class TransferPlan:
     steps: tuple[TransferStep, ...]
     # receiver then donor value of each step, flat: no tuple kept per step
     _values: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        require_delta_sequence(self.source, self.target)
+        if not isinstance(self.steps, tuple):
+            raise TypeError(f"steps must be a tuple, got {self.steps!r}")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -250,8 +261,6 @@ def plan_from_dict(data: dict) -> TransferPlan:
     fields = [dict_fields(st, "plan step", "i", "j", "before", "after")
               for st in list_of(raw_steps, "plan steps")]
     snapshots = [(list_of(b, "step before"), list_of(a, "step after")) for _, _, b, a in fields]
-    for i, j, _, _ in fields:
-        require_ints((i, j), "ranks")
     steps = tuple(TransferStep(receiver_rank=i, donor_rank=j) for i, j, _, _ in fields)
     plan = TransferPlan(
         source=DeltaSequence(list_of(source, "plan source")),

@@ -11,7 +11,7 @@ strictly up the majorization order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     DegreeRuleViolation,
@@ -130,16 +130,18 @@ class Tree(Graph):
     """A labeled free tree on nodes 0..n-1: a connected graph with exactly
     n-1 edges.
 
-    Trees compare by value.  The canonical code and the set of successor
-    codes are each computed once on demand and cached.
+    Trees compare by value.  The canonical code, the degree sequence and
+    the set of successor codes are each computed once on demand and cached:
+    a tree is immutable, so each is a fact of the tree.
     """
 
-    __slots__ = ("_code", "_successors")
+    __slots__ = ("_code", "_successors", "_delta")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         super().__init__(n, edges)
         self._code: CanonicalCode | None = None
         self._successors: frozenset[CanonicalCode] | None = None
+        self._delta: DeltaSequence | None = None
 
     def _check_edge_count(self, n: int, m: int) -> None:
         if m != n - 1:
@@ -189,10 +191,16 @@ def star(n: int) -> Tree:
 def delta_sequence(g: Graph) -> DeltaSequence:
     """Degrees of all nodes, sorted descending.  Defined for n >= 2.
 
-    (A single-node tree has degree 0, which a positive degree sequence
-    cannot hold.)
+    A Tree's sequence is built once and cached like its canonical code, so
+    every call returns the same object; a Graph that is not a Tree gets a
+    new one each call.  (A single-node tree has degree 0, which a positive
+    degree sequence cannot hold: NonPositiveDegree on every call.)
     """
-    return DeltaSequence(map(len, g._adj))
+    if not isinstance(g, Tree):
+        return DeltaSequence(map(len, g._adj))
+    if g._delta is None:
+        g._delta = DeltaSequence(map(len, g._adj))
+    return g._delta
 
 
 def _branch_sides(
@@ -235,8 +243,9 @@ def branches_at(t: Tree, m: int) -> list[Branch]:
 
 def freeze(nbrs: Sequence[Sequence[int]], kind: type[Graph] = Tree) -> Graph:
     """The ``kind`` (a Tree, or a Graph when asked) with the ascending
-    neighbour list ``nbrs[v]`` of each node ``v``, copied as given: neither
-    sorted nor re-validated, so only for sorted neighbours that form one by
+    neighbour list ``nbrs[v]`` of each node ``v``, taken as given (a tuple
+    is shared, any other row copied into one): neither sorted nor
+    re-validated, so only for sorted neighbours that form one by
     construction, as those of a valid tree changed by branch moves, of a
     decoded Prufer sequence, of a level sequence, of a path, of a star, of a
     caterpillar, or of a tree with extra edges between distinct nodes."""
@@ -244,14 +253,16 @@ def freeze(nbrs: Sequence[Sequence[int]], kind: type[Graph] = Tree) -> Graph:
     g.n = len(nbrs)
     g._adj = tuple(map(tuple, nbrs))
     if kind is Tree:
-        g._code = g._successors = None
+        g._code = g._successors = g._delta = None
     return g
 
 
-def neighbor_toward(nbrs: Sequence[set[int]], node: int, target: int) -> int:
+def neighbor_toward(nbrs: Sequence[Collection[int]], node: int, target: int) -> int:
     """The neighbour of ``node`` on its path to ``target`` (not ``node``):
     the gateway of the one branch of ``node`` that holds ``target``, found
-    by the branch search from ``node`` that stops at ``target``."""
+    by the branch search from ``node`` that stops at ``target``.  Each row
+    may be a tuple or a set: in a tree only one branch holds ``target``,
+    so the order a row lists its neighbours in does not change the answer."""
     return target if target in nbrs[node] else _branch_sides(nbrs, node, target)[target]
 
 
@@ -264,9 +275,12 @@ def move_edge(nbrs: Sequence[set[int]], donor: int, gateway: int, target: int) -
 
 
 def _move_branches(t: Tree, moves, enforce_degree_rule: bool) -> Tree:
-    # the one checked move loop; one tree is frozen after the last move
+    # the one checked move loop.  It starts from the tree's own row tuples;
+    # a row becomes a set when a move first touches it, and only those rows
+    # are sorted again when one tree is frozen after the last move
+    require_tree(t, "tree")
     n = t.n
-    nbrs = [set(ws) for ws in t._adj]
+    nbrs = list(t._adj)
     for donor, gateway, target in moves:
         require_ints((donor, gateway, target), "move labels")
         if not (0 <= donor < n and gateway in nbrs[donor]):
@@ -283,8 +297,11 @@ def _move_branches(t: Tree, moves, enforce_degree_rule: bool) -> Tree:
             raise DegreeRuleViolation(
                 f"target degree {len(nbrs[target])} < donor degree {len(nbrs[donor])}"
             )
+        for v in (donor, gateway, target):
+            if type(nbrs[v]) is tuple:
+                nbrs[v] = set(nbrs[v])
         move_edge(nbrs, donor, gateway, target)
-    return freeze([sorted(ws) for ws in nbrs])
+    return freeze([sorted(ws) if type(ws) is set else ws for ws in nbrs])
 
 
 def move_branch(

@@ -3,9 +3,10 @@ machine-checkable certificates.
 
 Everything here works over isomorphism classes: reachability under
 degree-rule branch moves is invariant under relabeling, so the state space
-is the set of tree classes.  The reachability memo of each size holds
-one representative per class; a class's successors are the set of codes
-one move from that tree, cached on the tree.  The memo is a plain cache: only
+is the set of tree classes.  The reachability memo of each size maps each
+class's canonical code to one representative tree; the class's degree
+sequence and its successors, the set of codes one move from that tree, are
+cached on the tree.  The memo is a plain cache: only
 the theorem pass checks that each move raises the degree sequence, and
 closure walks trust the moves.  The move-trace search needs no classes: a
 tree's successor degree sequences follow from its own, so it searches
@@ -157,12 +158,11 @@ def check_total_order(n: int) -> OrderReport:
 @lru_cache(maxsize=None)
 def _classes(n: int):
     """The reachability memo of size ``n``: code -> representative, in
-    canonical-code order; code -> degree sequence (none at n=1).  Raises
-    BoundExceeded above the bound."""
+    canonical-code order.  Each representative caches its own degree
+    sequence (:func:`delta_sequence`).  Raises BoundExceeded above the
+    bound."""
     require_bound(n, REACHABILITY_MAX_NODES, "reachability search")
-    reps = {canonical_code(t): t for t in enumerate_trees(n)}
-    deltas = {code: delta_sequence(t) for code, t in reps.items() if n > 1}
-    return reps, deltas
+    return {canonical_code(t): t for t in enumerate_trees(n)}
 
 
 def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
@@ -170,7 +170,7 @@ def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
     own) by any number of degree-rule branch moves: one breadth-first walk
     over the memo of size ``t.n``, a level at a time, so each level's
     repeated successors are merged by set operations."""
-    reps = _classes(t.n)[0]
+    reps = _classes(t.n)
     new = {canonical_code(t)}
     seen = set(new)
     while new:
@@ -181,7 +181,7 @@ def reachable_classes(t: Tree) -> frozenset[CanonicalCode]:
 
 def reachability_closure(t: Tree) -> tuple[Tree, ...]:
     """Representative trees of :func:`reachable_classes`, sorted by code."""
-    return tuple(_classes(t.n)[0][code] for code in sorted(reachable_classes(t)))
+    return tuple(_classes(t.n)[code] for code in sorted(reachable_classes(t)))
 
 
 def _landing(have: Sequence[int], goal: Sequence[int]) -> tuple[int, int] | None:
@@ -363,16 +363,16 @@ def verify_majorization_reachability(n: int) -> tuple[bool, list[ReachabilityCer
     certificates-for-failures).
     """
     require_node_count(n, "theorem check")
-    reps, deltas = _classes(n)
+    reps = _classes(n)
     census = delta_census(n)
     covers = {a: [] for a in census}
     for a, b in _covers(census):
         covers[a].append(b)
     risen = set()  # the (sequence, successor sequence) pairs compared
     failures = []
-    for code, t in reps.items():
-        a = deltas[code]
-        reached = {deltas[x] for x in successor_codes(t)}
+    for t in reps.values():
+        a = delta_sequence(t)
+        reached = {delta_sequence(reps[x]) for x in successor_codes(t)}
         for b in reached:
             if (a, b) not in risen and compare(a, b) is not ComparisonResult.STRICTLY_BELOW:
                 raise RuntimeError(
@@ -411,14 +411,14 @@ def find_unreachable_pair(
         raise NotMajorized(f"{s} is not strictly below {s_prime} ({rel})")
     require_tree_sequence(n, s_prime)
     require_tree_sequence(n, s)
-    reps, deltas = _classes(n)
-    targets = [code for code, d in deltas.items() if d == s_prime]
-    for code, d in deltas.items():
-        if d == s:
-            reach = reachable_classes(reps[code])
+    reps = _classes(n)
+    targets = [code for code, t in reps.items() if delta_sequence(t) == s_prime]
+    for t in reps.values():
+        if delta_sequence(t) == s:
+            reach = reachable_classes(t)
             for target in targets:
                 if target not in reach:
-                    return (reps[code], reps[target])
+                    return (t, reps[target])
     return None
 
 

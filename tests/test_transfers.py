@@ -21,6 +21,7 @@ from treemajor import (
     TransferPlan,
     TransferStep,
     basic_transfer,
+    chain,
     compare,
     delta_census,
     format_plan,
@@ -29,6 +30,7 @@ from treemajor import (
     plan_to_dict,
     plan_transfers,
     replay,
+    replay_plan_on_tree,
 )
 from treemajor import transfers
 from treemajor.transfers import step_values, transfer_in_place
@@ -168,6 +170,42 @@ class TestPlanTransfers:
                     nxt = majorization_gap(after, y)
                     assert nxt < gap
                     gap = nxt
+
+
+class TestConstruction:
+    """A hand-built plan or step is checked when it is made, as
+    plan_transfers and basic_transfer check theirs."""
+
+    @pytest.mark.parametrize(
+        "use, source, target, steps",
+        [
+            (replay, (2, 1, 1), (2, 1, 1), ()),
+            (format_plan, (3, 1, 1, 1), (3, 1, 1, 1), ()),
+            (
+                lambda plan: replay_plan_on_tree(chain(4), plan),
+                (2, 2, 1, 1),
+                (3, 1, 1, 1),
+                (TransferStep(1, 2),),
+            ),
+            (replay, DeltaSequence([2, 1, 1]), (2, 1, 1), ()),
+        ],
+        ids=["replay", "format_plan", "replay_plan_on_tree", "target-only"],
+    )
+    def test_plain_tuple_sequences_rejected(self, use, source, target, steps):
+        with pytest.raises(TypeError, match=r"^sequence must be a DeltaSequence, got \("):
+            use(TransferPlan(source, target, steps))
+
+    @pytest.mark.parametrize("steps", [[TransferStep(1, 2)], None], ids=["list", "none"])
+    def test_steps_must_be_a_tuple(self, steps):
+        s = DeltaSequence([2, 2, 1, 1])
+        with pytest.raises(TypeError, match="^steps must be a tuple, got "):
+            TransferPlan(s, DeltaSequence([3, 1, 1, 1]), steps)
+
+    @pytest.mark.parametrize("i, j", [(True, 2), (1, True), (1, 2.0), (1.0, 3)])
+    def test_non_int_rank_rejected(self, i, j):
+        # a bool is not rank 1, and a float rank is not coerced
+        with pytest.raises(TypeError, match=rf"^ranks must be ints, got \({i}, {j}\)$"):
+            TransferStep(i, j)
 
 
 class TestPlannedRecord:

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from treemajor import (
     ComparisonResult,
     DegreeRuleViolation,
+    DeltaSequence,
     DonorIsLeaf,
     Graph,
+    NonPositiveDegree,
     NotConnected,
     ParseError,
     Tree,
@@ -294,21 +296,60 @@ class TestTrustedBuilds:
         assert all(list(ws) == sorted(ws) for ws in t._adj)
 
     def test_slots(self):
-        assert Tree.__slots__ == ("_code", "_successors")
+        assert Tree.__slots__ == ("_code", "_successors", "_delta")
 
     def test_each_build(self):
         # labels up to 59 in small sets, which do not iterate in order
         rng = random.Random(59)
         t = tree_from_prufer([rng.randrange(60) for _ in range(58)])
+        self._assert_fresh(t)
         moved = move_branch(t, *legal_moves(t)[0])
         plan = plan_transfers(delta_sequence(chain(60)), delta_sequence(t))
         replayed = replay_plan_on_tree(chain(60), plan).final
         built = (chain(60), star(60), realize_direct(delta_sequence(t)))
-        for fresh in (t, moved, replayed, Tree(t.n, t.sorted_edges()), *built):
+        for fresh in (moved, replayed, Tree(t.n, t.sorted_edges()), *built):
             self._assert_fresh(fresh)
+        # the sequence asked of t above is cached on t, and on nothing built from it
+        self._assert_fresh(t, cached=("_delta",))
         for fresh in enumerate_trees(9):
             # sorted by canonical code, which is cached on each
             self._assert_fresh(fresh, cached=("_code",))
+
+
+class TestDeltaSequenceCache:
+    """A Tree builds its degree sequence once, like its canonical code; a
+    Graph that is not a Tree gets a new one each call."""
+
+    def test_built_once_per_tree(self):
+        t = chain(6)
+        assert t._delta is None
+        assert delta_sequence(t) is delta_sequence(t) is t._delta
+        assert t._delta == DeltaSequence([2, 2, 2, 2, 1, 1])
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(5), complete_graph(4), Graph(4, [(0, 1), (1, 2), (1, 3)])]
+    )
+    def test_a_graph_is_not_cached(self, g):
+        got = delta_sequence(g)
+        assert got == DeltaSequence([g.degree(v) for v in range(g.n)])
+        assert delta_sequence(g) is not got
+
+    def test_one_node_raises_on_every_call(self):
+        t = Tree(1, [])
+        for _ in range(2):
+            with pytest.raises(NonPositiveDegree):
+                delta_sequence(t)
+        assert t._delta is None
+
+    def test_a_moved_tree_has_its_own(self):
+        t = chain(8)
+        before = delta_sequence(t)
+        moves = [(6, 7, 5), (4, 5, 3), (2, 3, 1)]
+        for moved in (move_branch(t, *moves[0]), apply_moves(t, moves)):
+            assert moved._delta is None
+            assert delta_sequence(moved) == DeltaSequence(map(len, moved._adj))
+            assert delta_sequence(moved) != before
+        assert delta_sequence(t) is before
 
 
 class TestBranches:
@@ -369,6 +410,17 @@ class TestNeighborTowardAgainstReference:
             for node, target in itertools.permutations(range(n), 2):
                 want = neighbor_toward_reference(nbrs, node, target)
                 assert neighbor_toward(nbrs, node, target) == want
+
+    @pytest.mark.parametrize("odd_rows", [tuple, set])
+    def test_tuple_rows(self, odd_rows):
+        # the move loop's rows are the tree's own tuples until a move makes
+        # them sets, so the search sees tuples, or tuples and sets at once
+        for t in (tree for n in range(2, 10) for tree in enumerate_trees(n)):
+            nbrs = [set(ws) for ws in t._adj]
+            rows = [odd_rows(ws) if v % 2 else ws for v, ws in enumerate(t._adj)]
+            for node, target in itertools.permutations(range(t.n), 2):
+                want = neighbor_toward_reference(nbrs, node, target)
+                assert neighbor_toward(rows, node, target) == want
 
     def test_seeded_prufer_trees(self):
         # random pairs, and pairs from the largest hub, whose many branches
@@ -506,6 +558,33 @@ class TestMovePathAgainstReference:
     def test_apply_moves_rejects_a_short_move(self):
         with pytest.raises(ValueError):
             apply_moves(chain(4), [(1, 2)])
+
+    def test_apply_moves_is_the_chain_of_single_moves(self):
+        rng = random.Random(32)
+        t = tree_from_prufer([rng.randrange(3) for _ in range(28)])
+        rows, edges = t._adj, t.sorted_edges()
+        cur, moves = t, []
+        for _ in range(12):
+            mv = rng.choice(legal_moves(cur))
+            cur = move_branch(cur, *mv)
+            moves.append(mv)
+        got = apply_moves(t, moves)
+        _assert_same_tree(got, cur)
+        assert t._adj is rows and t.sorted_edges() == edges
+        # a row no move touched is the parent's own tuple, not a copy
+        touched = {v for mv in moves for v in mv}
+        assert touched != set(range(t.n))
+        assert all(got._adj[v] is rows[v] for v in range(t.n) if v not in touched)
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(5), Graph(4, [(0, 1), (1, 2), (2, 3)])], ids=["cycle", "path"]
+    )
+    def test_a_graph_is_not_moved(self, g):
+        # a Graph that is not a Tree, even one with a tree's edges
+        with pytest.raises(TypeError, match="^tree must be a Tree, got Graph"):
+            apply_moves(g, [])
+        with pytest.raises(TypeError, match="^tree must be a Tree, got Graph"):
+            move_branch(g, 1, 2, 0)
 
 
 def _double_broom(path_edges: int, left: int, right: int) -> Tree:

@@ -771,7 +771,7 @@ class TestMajorizationReachability:
         find_move_trace(chain(n), delta_sequence(star(n)))
         assert calls == []
         assert verify_majorization_reachability(n) == (True, [])
-        reps = verify._classes(n)[0]
+        reps = verify._classes(n)
         assert len(reps) == classes
         assert len(calls) == classes + sum(len(legal_moves(t)) for t in reps.values())
 
@@ -866,7 +866,7 @@ class TestMajorizationReachability:
         patched_successors.setattr(verify, "successor_codes", cut)
         assert verify_majorization_reachability(n) == (True, [])
         assert _reachability_failures_reference(n, reps, edges) == []
-        memo_source = verify._classes(n)[0][canonical_code(source)]
+        memo_source = verify._classes(n)[canonical_code(source)]
         assert high_code not in verify.successor_codes(memo_source)
 
     def test_a_cold_query_codes_only_its_closure(self, patched_successors):
